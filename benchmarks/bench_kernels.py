@@ -26,7 +26,8 @@ Two modes:
 """
 
 import argparse
-import json
+import os
+import sys
 import time
 
 import numpy as np
@@ -35,8 +36,11 @@ import pytest
 from repro.optim import SGD
 from repro.snn import LIFNeuron, reset_net
 from repro.snn.models import SpikingConvNet
-from repro.sparse import NDSNN, CSRPattern, MaskManager
+from repro.sparse import NDSNN, CSRPattern, SparsityManager
 from repro.tensor import Tensor, conv2d, cross_entropy
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from _gate import CHECK_TOLERANCE, add_check_argument, finish, headline_failures  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +84,7 @@ def test_mask_enforcement(benchmark):
     model = SpikingConvNet(
         num_classes=10, image_size=16, channels=(32, 64), rng=np.random.default_rng(2)
     )
-    masks = MaskManager(model, rng=np.random.default_rng(3))
+    masks = SparsityManager(model, rng=np.random.default_rng(3))
     masks.init_random({name: 0.1 for name in masks.masks})
     benchmark(masks.apply_masks)
 
@@ -132,9 +136,6 @@ CONV_SHAPES = ((32, 16, 3, 16, 16, 8),)
 #: SNN timesteps over which one optimizer-step refresh amortizes (the
 #: reproduction's default temporal window).
 DEFAULT_TIMESTEPS = 5
-#: Headline metrics may regress by at most this fraction before
-#: ``--check`` fails.
-CHECK_TOLERANCE = 0.15
 #: Headline speedup metrics the regression gate compares (higher is
 #: better); ``refresh_overhead_at_90`` is gated separately (lower is
 #: better).
@@ -374,18 +375,7 @@ def check_regressions(baseline, payload, tolerance=CHECK_TOLERANCE):
     ``tolerance`` above it (with an absolute floor of 0.10, the
     exit-state budget, so sub-budget jitter never trips the gate).
     """
-    failures = []
-    for metric in HEADLINE_METRICS:
-        base = baseline.get(metric)
-        if base is None:
-            continue  # older baselines predate this metric
-        current = payload[metric]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{metric}: {current:.3f} < {floor:.3f} "
-                f"(baseline {base:.3f} - {tolerance:.0%})"
-            )
+    failures = headline_failures(baseline, payload, HEADLINE_METRICS, tolerance)
     base_overhead = baseline.get("refresh_overhead_at_90")
     if base_overhead is not None:
         ceiling = max(base_overhead * (1.0 + tolerance), 0.10)
@@ -403,11 +393,7 @@ def main(argv=None):
     parser.add_argument("--out", default="BENCH_kernels.json")
     parser.add_argument("--repeats", type=int, default=50)
     parser.add_argument("--timesteps", type=int, default=DEFAULT_TIMESTEPS)
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="re-time the grid and fail (exit 1) if any headline metric "
-             f"regressed more than {CHECK_TOLERANCE:.0%} vs this JSON",
-    )
+    add_check_argument(parser)
     args = parser.parse_args(argv)
     payload = run_comparison(repeats=args.repeats, timesteps=args.timesteps)
     for cell in payload["cells"]:
@@ -432,20 +418,7 @@ def main(argv=None):
         )
     print(f"best speedup at 90% sparsity: {payload['best_speedup_at_90']:.2f}x")
     print(f"refresh overhead at 90% sparsity: {100 * payload['refresh_overhead_at_90']:.1f}%")
-    if args.check is not None:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = check_regressions(baseline, payload)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
-        print(f"no headline regression vs {args.check}")
-        return 0
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    print(f"wrote {args.out}")
-    return 0
+    return finish(args, payload, check_regressions)
 
 
 if __name__ == "__main__":

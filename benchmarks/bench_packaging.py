@@ -13,9 +13,16 @@ sparsity):
   default f32 runtime, values pre-scaled at load) against the
   frozen-f32 checkpoint session, with a hard max-abs-error assert —
   a fast wrong artifact is not a fast artifact;
-* **f16 / int8 runtime cells** — the memory-minimal on-the-fly
-  dequantization path, reported for the docs trade-off table (absolute
-  times reported, never gated).
+* **stored-precision runtime** — the same int8 package served at
+  ``precision="int8"``: values stay mapped at int8 and each layer
+  dequantizes into one per-session scratch buffer before the same CSR
+  product.  Gated as ``int8_runtime_ratio`` (f32-runtime p50 ÷
+  int8-runtime p50, timed interleaved; must stay ≥ 1/1.5), with a hard
+  bit-identity assert against the f32 runtime and the ``tracemalloc``
+  peak transient bytes of one forward reported next to the largest
+  layer's float32 value bytes;
+* **f16 / f32 runtime cells** — reported for the docs trade-off table
+  (absolute times, never gated).
 
 Emits ``BENCH_packaging.json``::
 
@@ -27,10 +34,11 @@ only; absolute times are host-dependent).
 """
 
 import argparse
-import json
 import os
+import sys
 import tempfile
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +49,9 @@ from repro.sparse import SparsityManager
 from repro.sparse.packaging import PackedModel, build_packed_runtime, write_package
 from repro.train.checkpoint import load_inference_state, save_checkpoint
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from _gate import CHECK_TOLERANCE, add_check_argument, finish, headline_failures  # noqa: E402
+
 #: Bench MLP geometry — identical to bench_serving's unstructured cell.
 MLP_WIDTH = 768
 NUM_CLASSES = 32
@@ -49,12 +60,15 @@ TIMESTEPS = 2
 BATCH = 8
 #: int8 output error bound vs the frozen-f32 session (hard assert).
 INT8_ERROR_BOUND = 1e-2
-CHECK_TOLERANCE = 0.15
+#: Floor of ``int8_runtime_ratio``: serving at stored int8 precision may
+#: cost at most 1.5x the pre-scaled f32 runtime's p50.
+INT8_RUNTIME_FLOOR = 1 / 1.5
 #: Gated metrics — ratios only, higher is better.
 HEADLINE_METRICS = (
     "artifact_size_ratio",
     "cold_load_speedup",
     "int8_throughput_ratio",
+    "int8_runtime_ratio",
 )
 
 MODEL_SPEC = {
@@ -146,31 +160,42 @@ def time_predict(session, inputs, repeats):
     }
 
 
-def time_interleaved(session_a, session_b, inputs, repeats):
-    """p50 cells for two sessions, measured A/B-interleaved.
+def time_interleaved(sessions, inputs, repeats):
+    """p50 cells for several sessions, measured round-robin.
 
-    The gated int8-vs-f32 throughput ratio compares two nearly equal
-    code paths, so host drift between two separate timing loops easily
-    exceeds the real difference; alternating calls cancels it.
+    The gated ratios compare nearly equal code paths, so host drift
+    between separate timing loops easily exceeds the real difference;
+    alternating calls cancels it.
     """
-    session_a.predict(inputs)
-    session_b.predict(inputs)
-    times_a, times_b = [], []
+    for session in sessions:
+        session.predict(inputs)
+    times = [[] for _ in sessions]
     for _ in range(repeats):
-        start = time.perf_counter()
-        session_a.predict(inputs)
-        times_a.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        session_b.predict(inputs)
-        times_b.append(time.perf_counter() - start)
+        for session, samples in zip(sessions, times):
+            start = time.perf_counter()
+            session.predict(inputs)
+            samples.append(time.perf_counter() - start)
     cells = []
-    for times in (times_a, times_b):
-        seconds = float(np.percentile(times, 50))
+    for samples in times:
+        seconds = float(np.percentile(samples, 50))
         cells.append({
             "p50_ms": seconds * 1e3,
             "throughput_rps": inputs.shape[0] / seconds,
         })
     return cells
+
+
+def forward_transient_bytes(session, inputs):
+    """``tracemalloc`` peak bytes one warmed predict allocates."""
+    session.predict(inputs)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        session.predict(inputs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def run_comparison(repeats=20, load_repeats=5, width=MLP_WIDTH):
@@ -205,21 +230,37 @@ def run_comparison(repeats=20, load_repeats=5, width=MLP_WIDTH):
         ckpt_session = load_checkpoint_session(ckpt, width=width)
         reference = ckpt_session.predict(inputs)
         errors = {}
-        # The gated pair runs interleaved with a higher floor on
-        # repeats: both sides are sub-millisecond f32 CSR paths, so the
-        # ratio needs tighter statistics than the reported-only cells.
-        int8_f32_session = load_package_session(packages["int8"]["path"])
-        errors["int8_runtime_f32"] = float(
-            np.abs(int8_f32_session.predict(inputs) - reference).max())
-        ckpt_cell, int8_cell = time_interleaved(
-            ckpt_session, int8_f32_session, inputs, max(repeats, 60))
+        # The gated sessions run interleaved with a higher floor on
+        # repeats: all are sub-millisecond to few-millisecond CSR paths,
+        # so the ratios need tighter statistics than the reported cells.
+        int8_f32_session = load_package_session(int8_path)
+        int8_int8_session = load_package_session(int8_path, precision="int8")
+        prescaled = int8_f32_session.predict(inputs)
+        if not np.array_equal(int8_int8_session.predict(inputs), prescaled):
+            raise AssertionError(
+                "int8 runtime output differs from the pre-scaled f32 runtime"
+            )
+        errors["int8_runtime_f32"] = float(np.abs(prescaled - reference).max())
+        errors["int8_runtime_int8"] = errors["int8_runtime_f32"]
+        ckpt_cell, int8_cell, int8_int8_cell = time_interleaved(
+            (ckpt_session, int8_f32_session, int8_int8_session),
+            inputs, max(repeats, 60))
         cells = {
             "checkpoint_f32": ckpt_cell,
             "int8_runtime_f32": int8_cell,
+            "int8_runtime_int8": int8_int8_cell,
         }
-        for precision, runtime in (
-            ("int8", "int8"), ("f16", "f16"), ("f32", None),
-        ):
+        memory = {
+            "int8_runtime_transient_bytes":
+                forward_transient_bytes(int8_int8_session, inputs),
+            "f32_runtime_transient_bytes":
+                forward_transient_bytes(int8_f32_session, inputs),
+            "largest_layer_value_bytes": 4 * max(
+                state.csr_pattern().nnz
+                for state in int8_int8_session.manager.states.values()
+            ),
+        }
+        for precision, runtime in (("f16", "f16"), ("f32", None)):
             label = f"{precision}_runtime_{runtime or 'f32'}"
             session = load_package_session(
                 packages[precision]["path"], precision=runtime)
@@ -250,30 +291,32 @@ def run_comparison(repeats=20, load_repeats=5, width=MLP_WIDTH):
             },
             "cells": cells,
             "max_abs_error": errors,
+            "memory": memory,
             "artifact_size_ratio":
                 ckpt_bytes / packages["int8"]["file_bytes"],
             "cold_load_speedup": ckpt_load_s / pkg_load_s,
             "int8_throughput_ratio":
                 cells["int8_runtime_f32"]["throughput_rps"]
                 / cells["checkpoint_f32"]["throughput_rps"],
+            "int8_runtime_ratio":
+                cells["int8_runtime_f32"]["p50_ms"]
+                / cells["int8_runtime_int8"]["p50_ms"],
         }
     return payload
 
 
 def check_regressions(baseline, payload, tolerance=CHECK_TOLERANCE):
-    """Headline-ratio failures vs a committed baseline (empty = pass)."""
-    failures = []
-    for metric in HEADLINE_METRICS:
-        base = baseline.get(metric)
-        if base is None:
-            continue
-        current = payload[metric]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{metric}: {current:.3f} < {floor:.3f} "
-                f"(baseline {base:.3f} - {tolerance:.0%})"
-            )
+    """Headline-ratio failures vs a committed baseline (empty = pass).
+
+    ``int8_runtime_ratio`` must also clear its absolute floor.
+    """
+    failures = headline_failures(baseline, payload, HEADLINE_METRICS, tolerance)
+    ratio = payload["int8_runtime_ratio"]
+    if ratio < INT8_RUNTIME_FLOOR:
+        failures.append(
+            f"int8_runtime_ratio: {ratio:.3f} < {INT8_RUNTIME_FLOOR:.3f} "
+            "(int8-stored p50 above 1.5x the f32 runtime)"
+        )
     return failures
 
 
@@ -285,11 +328,7 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=20)
     parser.add_argument("--load-repeats", type=int, default=5)
     parser.add_argument("--width", type=int, default=MLP_WIDTH)
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="re-measure and fail (exit 1) if a headline ratio regressed "
-             f"more than {CHECK_TOLERANCE:.0%} vs this JSON",
-    )
+    add_check_argument(parser)
     args = parser.parse_args(argv)
     payload = run_comparison(repeats=args.repeats,
                              load_repeats=args.load_repeats,
@@ -316,20 +355,15 @@ def main(argv=None):
         )
     print(f"int8 throughput ratio vs frozen-f32: "
           f"{payload['int8_throughput_ratio']:.3f}x")
-    if args.check is not None:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = check_regressions(baseline, payload)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
-        print(f"no headline regression vs {args.check}")
-        return 0
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    print(f"wrote {args.out}")
-    return 0
+    print(f"int8 runtime ratio (f32 p50 / int8 p50): "
+          f"{payload['int8_runtime_ratio']:.3f}")
+    memory = payload["memory"]
+    print(
+        f"forward transient: int8 runtime {memory['int8_runtime_transient_bytes']} B  "
+        f"f32 runtime {memory['f32_runtime_transient_bytes']} B  "
+        f"(largest layer values {memory['largest_layer_value_bytes']} B)"
+    )
+    return finish(args, payload, check_regressions)
 
 
 if __name__ == "__main__":

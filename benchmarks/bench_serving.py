@@ -30,7 +30,8 @@ via a smoke test; only ratios are gated, never absolute times).
 """
 
 import argparse
-import json
+import os
+import sys
 import time
 
 import numpy as np
@@ -38,6 +39,9 @@ import numpy as np
 from repro.serve import InferenceServer, InferenceSession
 from repro.snn.models import SpikingConvNet, SpikingMLP
 from repro.sparse import SparsityManager, compact_model
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from _gate import CHECK_TOLERANCE, add_check_argument, finish, headline_failures  # noqa: E402
 
 #: Unstructured MLP cell: width of the hidden layers.
 MLP_WIDTH = 768
@@ -50,9 +54,6 @@ CONV_CHANNELS = (16, 32)
 CONV_IMAGE_SIZE = 16
 #: Batch sizes swept per variant.
 BATCH_SIZES = (1, 4, 8, 16)
-#: Headline metrics may regress by at most this fraction before
-#: ``--check`` fails.
-CHECK_TOLERANCE = 0.15
 #: Gated metrics — all ratios (machine-robust), higher is better.
 HEADLINE_METRICS = (
     "csr_p50_speedup_at_90",
@@ -306,19 +307,7 @@ def check_regressions(baseline, payload, tolerance=CHECK_TOLERANCE):
     Returns a list of human-readable failure strings (empty = pass).
     Only ratios are compared, so the gate is meaningful across hosts.
     """
-    failures = []
-    for metric in HEADLINE_METRICS:
-        base = baseline.get(metric)
-        if base is None:
-            continue  # older baselines predate this metric
-        current = payload[metric]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{metric}: {current:.3f} < {floor:.3f} "
-                f"(baseline {base:.3f} - {tolerance:.0%})"
-            )
-    return failures
+    return headline_failures(baseline, payload, HEADLINE_METRICS, tolerance)
 
 
 def main(argv=None):
@@ -330,11 +319,7 @@ def main(argv=None):
     parser.add_argument("--width", type=int, default=MLP_WIDTH)
     parser.add_argument("--no-server", action="store_true",
                         help="skip the closed-loop server measurement")
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="re-time the grid and fail (exit 1) if any headline speedup "
-             f"regressed more than {CHECK_TOLERANCE:.0%} vs this JSON",
-    )
+    add_check_argument(parser)
     args = parser.parse_args(argv)
     payload = run_comparison(
         width=args.width, repeats=args.repeats,
@@ -365,20 +350,7 @@ def main(argv=None):
             f"{server['throughput_rps']:.1f} req/s  "
             f"{server['batches']} batches  {server['restarts']} restarts"
         )
-    if args.check is not None:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = check_regressions(baseline, payload)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
-        print(f"no headline regression vs {args.check}")
-        return 0
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    print(f"wrote {args.out}")
-    return 0
+    return finish(args, payload, check_regressions)
 
 
 if __name__ == "__main__":

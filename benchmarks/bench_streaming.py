@@ -30,7 +30,8 @@ are gated, never absolute times).
 """
 
 import argparse
-import json
+import os
+import sys
 import time
 
 import numpy as np
@@ -39,6 +40,9 @@ from repro.data.telemetry import make_telemetry_stream
 from repro.snn.models import SpikingMLP
 from repro.sparse import SparsityManager
 from repro.stream import StreamSession
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from _gate import CHECK_TOLERANCE, add_check_argument, finish, headline_failures  # noqa: E402
 
 #: Feed geometry (events = per device).
 NUM_STREAMS = 4
@@ -51,9 +55,6 @@ HIDDEN = 256
 NUM_CLASSES = 16
 #: Mask sparsity of the streamed model (the paper's headline regime).
 SPARSITY = 0.9
-#: Headline metrics may regress by at most this fraction before
-#: ``--check`` fails.
-CHECK_TOLERANCE = 0.15
 #: Gated metrics — ratios only (machine-robust), higher is better.
 HEADLINE_METRICS = (
     "csr_event_speedup",
@@ -177,18 +178,7 @@ def check_regressions(baseline, payload, tolerance=CHECK_TOLERANCE):
     Streaming must also stay bit-identical to offline batch inference —
     a fast diverging stream is not a fast stream.
     """
-    failures = []
-    for metric in HEADLINE_METRICS:
-        base = baseline.get(metric)
-        if base is None:
-            continue  # older baselines predate this metric
-        current = payload[metric]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{metric}: {current:.3f} < {floor:.3f} "
-                f"(baseline {base:.3f} - {tolerance:.0%})"
-            )
+    failures = headline_failures(baseline, payload, HEADLINE_METRICS, tolerance)
     if not payload["all_bit_identical"]:
         failures.append(
             "all_bit_identical: a streamed window diverged from the "
@@ -208,11 +198,7 @@ def main(argv=None):
     parser.add_argument("--events", type=int, default=NUM_EVENTS)
     parser.add_argument("--window", type=int, default=WINDOW)
     parser.add_argument("--hidden", type=int, default=HIDDEN)
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="re-time the grid and fail (exit 1) if any headline ratio "
-             f"regressed more than {CHECK_TOLERANCE:.0%} vs this JSON",
-    )
+    add_check_argument(parser)
     args = parser.parse_args(argv)
     payload = run_streaming(
         streams=args.streams, channels=args.channels, events=args.events,
@@ -230,20 +216,7 @@ def main(argv=None):
         "tumbling vs sliding(1) speedup: "
         f"{payload['tumbling_vs_sliding_speedup']:.2f}x"
     )
-    if args.check is not None:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = check_regressions(baseline, payload)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
-        print(f"no headline regression vs {args.check}")
-        return 0
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    print(f"wrote {args.out}")
-    return 0 if payload["all_bit_identical"] else 1
+    return finish(args, payload, check_regressions, ok=payload["all_bit_identical"])
 
 
 if __name__ == "__main__":

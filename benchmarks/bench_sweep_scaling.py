@@ -25,17 +25,17 @@ smoke test; only the speedup ratio is gated, never absolute times).
 """
 
 import argparse
-import json
 import os
+import sys
 import time
 
 from repro.experiments import run_sweep, scaled_config, sweep_configs
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from _gate import CHECK_TOLERANCE, add_check_argument, finish, headline_failures  # noqa: E402
+
 METHODS = ("ndsnn", "set", "rigl", "gmp")
 SPARSITIES = (0.9, 0.95)
-#: The headline speedup may regress by at most this fraction before
-#: ``--check`` fails.
-CHECK_TOLERANCE = 0.15
 #: Headline metrics the regression gate compares (higher is better).
 HEADLINE_METRICS = ("best_queue_speedup",)
 
@@ -119,18 +119,7 @@ def check_regressions(baseline, payload, tolerance=CHECK_TOLERANCE):
     committed ratio, and every backend must still reproduce the
     sequential reference bit-for-bit.
     """
-    failures = []
-    for metric in HEADLINE_METRICS:
-        base = baseline.get(metric)
-        if base is None:
-            continue  # older baselines predate this metric
-        current = payload[metric]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{metric}: {current:.3f} < {floor:.3f} "
-                f"(baseline {base:.3f} - {tolerance:.0%})"
-            )
+    failures = headline_failures(baseline, payload, HEADLINE_METRICS, tolerance)
     if not payload["all_bit_identical"]:
         failures.append(
             "all_bit_identical: backend results diverged from the "
@@ -148,12 +137,7 @@ def main(argv=None):
     parser.add_argument("--methods", nargs="+", default=list(METHODS))
     parser.add_argument("--sparsities", type=float, nargs="+",
                         default=list(SPARSITIES))
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="re-time the grid and fail (exit 1) if the headline "
-             f"queue-throughput speedup regressed more than "
-             f"{CHECK_TOLERANCE:.0%} vs this JSON",
-    )
+    add_check_argument(parser)
     args = parser.parse_args(argv)
     payload = run_scaling(
         args.epochs, args.train_samples, args.workers,
@@ -169,20 +153,7 @@ def main(argv=None):
     print(f"best queue-backend speedup: {payload['best_queue_speedup']:.2f}x")
     if not payload["all_bit_identical"]:
         print("WARNING: backend results diverged from the sequential reference")
-    if args.check is not None:
-        with open(args.check) as handle:
-            baseline = json.load(handle)
-        failures = check_regressions(baseline, payload)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
-        print(f"no headline regression vs {args.check}")
-        return 0
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    print(f"wrote {args.out}")
-    return 0 if payload["all_bit_identical"] else 1
+    return finish(args, payload, check_regressions, ok=payload["all_bit_identical"])
 
 
 if __name__ == "__main__":

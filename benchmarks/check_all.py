@@ -7,8 +7,9 @@ baselines in one command::
     PYTHONPATH=src python benchmarks/check_all.py
 
 Each gate re-times its grid and fails if a headline ratio fell more
-than 15% below the committed number (see the individual bench modules
-for what is gated; absolute times never are).  Exit code is non-zero
+than 15% below the committed number (the shared rule lives in
+``_gate.py``; see the individual bench modules for what is gated;
+absolute times never are).  Exit code is non-zero
 if *any* gate fails; gates keep running after a failure so one report
 covers everything.
 

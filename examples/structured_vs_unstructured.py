@@ -15,7 +15,7 @@ from repro.data import DataLoader, make_dataset
 from repro.experiments.tables import format_table
 from repro.optim import SGD, CosineAnnealingLR
 from repro.snn.models import SpikingConvNet
-from repro.sparse import NDSNN, StructuredFilterPruning, csr_encode
+from repro.sparse import NDSNN, StructuredFilterPruning
 from repro.train import Trainer
 
 
@@ -41,14 +41,14 @@ def train(method, seed=0, epochs=8):
 def storage_kb(method, structured: bool) -> float:
     """Real storage: CSR for unstructured, dense surviving rows for structured."""
     bits = 0
-    for name, parameter in method.masks.parameters.items():
+    for name, state in method.masks.states.items():
         if structured:
             # Structured: store surviving filters densely, no indices.
-            mask = method.masks.masks[name]
+            mask = state.mask
             alive_rows = int((mask.reshape(mask.shape[0], -1).max(axis=1) > 0).sum())
-            bits += alive_rows * (parameter.size // parameter.shape[0]) * 32
+            bits += alive_rows * (state.size // state.shape[0]) * 32
         else:
-            bits += csr_encode(parameter.data).storage_bits()
+            bits += state.csr_pattern().storage_bits()
     return bits / 8 / 1024
 
 

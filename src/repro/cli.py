@@ -113,10 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         parser.add_argument(
             "--precision", default=None, choices=("f32", "f16", "int8"),
-            help="--package runtime: f32 (default; pre-scale quantized "
-                 "values into frozen float32 buffers at load) or the "
-                 "artifact's stored f16/int8 (dequantize row-blocks on "
-                 "the fly, minimal memory)",
+            help="--package runtime, same CSR kernels either way: f32 "
+                 "(default; pre-scale quantized values into float32 "
+                 "buffers at load) or the artifact's stored f16/int8 "
+                 "(each layer dequantizes into one shared scratch buffer "
+                 "per forward: bit-identical outputs, one layer of float32 "
+                 "values in memory, ~1.3x the f32 p50)",
         )
         parser.add_argument("--method", default="ndsnn", choices=METHOD_CHOICES + ("structured",))
         parser.add_argument(

@@ -16,17 +16,13 @@ generates deterministic surrogates with the right statistics:
 
 from __future__ import annotations
 
-import zlib
 from typing import List, Optional
 
 import numpy as np
 
-from ..stream.events import EventStream, StreamEvent, StreamSource
+from ..stream.events import EventStream, StreamEvent, StreamSource, stream_seed
 
-
-def stream_seed(seed: int, stream_id: str) -> int:
-    """Stable per-stream seed: experiment seed folded with the id."""
-    return (int(seed) * 0x9E3779B1 + zlib.crc32(stream_id.encode("utf-8"))) % (2**32)
+__all__ = ["TelemetrySource", "make_telemetry_stream", "stream_seed"]
 
 
 class TelemetrySource(StreamSource):

@@ -10,13 +10,16 @@ from .analysis import (
     mask_bipartite_graph,
     topology_change,
 )
-from .base import DenseMethod, SparseTrainingMethod, StaticMaskMethod
 from .engine import (
     DEFAULT_CSR_THRESHOLD,
     EXECUTION_MODES,
+    DenseMethod,
     DropGrowMethod,
     MaskedParameter,
+    SparseTrainingMethod,
     SparsityManager,
+    StaticMaskMethod,
+    sparsifiable_parameters,
 )
 from .dispatch import (
     CALIBRATION_ENV,
@@ -35,27 +38,14 @@ from .structured import (
     filter_norms,
     sever_dead_channels,
 )
-from .storage import (
-    HAVE_SCIPY,
-    CSRMatrix,
-    CSRPattern,
-    csr_decode,
-    csr_encode,
-    model_csr_storage_bits,
-)
-from .inference import (
-    CSRConv2d,
-    CSRLinear,
-    compress_model,
-    compressed_storage_bits,
-    compression_report,
-    serving_storage_report,
-)
+from .storage import HAVE_SCIPY, CSRPattern
+from .inference import serving_storage_report
 from .packaging import (
     PRECISIONS,
     PackedManager,
     PackedModel,
     PackedState,
+    StoredPackedState,
     build_packed_runtime,
     delta_decode_indices,
     delta_encode_indices,
@@ -74,7 +64,6 @@ from .erk import (
     uniform_densities,
 )
 from .lth import LTHSNN
-from .mask import MaskManager, sparsifiable_parameters
 from .ndsnn import NDSNN, UpdateRecord
 from .rigl_snn import RigLSNN
 from .schedule import (
@@ -120,22 +109,14 @@ __all__ = [
     "sever_dead_channels",
     "compact_model",
     "dead_output_rows",
-    "CSRMatrix",
     "CSRPattern",
     "HAVE_SCIPY",
-    "csr_encode",
-    "csr_decode",
-    "model_csr_storage_bits",
-    "CSRLinear",
-    "CSRConv2d",
-    "compress_model",
-    "compressed_storage_bits",
-    "compression_report",
     "serving_storage_report",
     "PRECISIONS",
     "PackedManager",
     "PackedModel",
     "PackedState",
+    "StoredPackedState",
     "build_packed_runtime",
     "delta_encode_indices",
     "delta_decode_indices",
@@ -145,7 +126,6 @@ __all__ = [
     "varint_encode",
     "varint_decode",
     "write_package",
-    "MaskManager",
     "sparsifiable_parameters",
     "erk_densities",
     "erk_sparsities",

@@ -2,13 +2,13 @@
 
 Section III-D of the paper counts training memory assuming CSR storage
 of the sparse weight matrices (one column index per non-zero plus one
-row pointer per filter row).  This module provides an actual CSR
-implementation so the footprint model is backed by working code: 4-D
-convolution filters are stored as ``(F, C*kh*kw)`` matrices, matching
-the paper's reshaping convention.
+row pointer per filter row).  :class:`CSRPattern` is that storage and
+the one CSR runtime behind training, frozen serving and packed
+artifacts alike: 4-D convolution filters are stored as
+``(F, C*kh*kw)`` matrices, matching the paper's reshaping convention,
+and :meth:`CSRPattern.storage_bits` is the §III-D accounting.
 
-Beyond storage, :class:`CSRPattern` is the compute side of the CSR
-fast path: it caches the index structure of a *mask* (which only
+The pattern caches the index structure of a *mask* (which only
 changes at drop-and-grow rounds) separately from the weight *values*
 (which change every optimizer step), and exposes the two products the
 training step needs — ``W @ X`` for the forward pass and ``W^T @ G``
@@ -19,7 +19,6 @@ alive without the dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,78 +31,6 @@ except ImportError:  # pragma: no cover
 HAVE_SCIPY = _scipy_sparse is not None
 
 
-@dataclass
-class CSRMatrix:
-    """A 2-D sparse matrix in CSR form.
-
-    Attributes
-    ----------
-    data:
-        Non-zero values, row-major.
-    indices:
-        Column index of each non-zero.
-    indptr:
-        Row pointers: row ``i`` occupies ``data[indptr[i]:indptr[i+1]]``.
-    shape:
-        Dense ``(rows, cols)`` shape.
-    orig_shape:
-        Original tensor shape (e.g. 4-D conv filters) for round-trips.
-    """
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: Tuple[int, int]
-    orig_shape: Tuple[int, ...]
-
-    @property
-    def nnz(self) -> int:
-        return int(self.data.size)
-
-    @property
-    def density(self) -> float:
-        rows, cols = self.shape
-        total = rows * cols
-        return self.nnz / total if total else 0.0
-
-    @property
-    def sparsity(self) -> float:
-        return 1.0 - self.density
-
-    def storage_bits(self, value_bits: int = 32, index_bits: int = 32) -> int:
-        """Exact storage cost in bits (paper §III-D accounting).
-
-        ``nnz`` values + ``nnz`` column indices + ``rows + 1`` pointers.
-        """
-        return self.nnz * value_bits + self.nnz * index_bits + (self.shape[0] + 1) * index_bits
-
-    def to_dense(self) -> np.ndarray:
-        """Reconstruct the dense tensor in its original shape."""
-        rows, cols = self.shape
-        dense = np.zeros((rows, cols), dtype=self.data.dtype)
-        for row in range(rows):
-            start, stop = self.indptr[row], self.indptr[row + 1]
-            dense[row, self.indices[start:stop]] = self.data[start:stop]
-        return dense.reshape(self.orig_shape)
-
-    def row(self, index: int) -> np.ndarray:
-        """One dense row (a filter's flattened weights)."""
-        dense_row = np.zeros(self.shape[1], dtype=self.data.dtype)
-        start, stop = self.indptr[index], self.indptr[index + 1]
-        dense_row[self.indices[start:stop]] = self.data[start:stop]
-        return dense_row
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Sparse matrix-vector product (inference-style usage)."""
-        if x.shape[0] != self.shape[1]:
-            raise ValueError(f"vector length {x.shape[0]} != cols {self.shape[1]}")
-        out = np.zeros(self.shape[0], dtype=np.result_type(self.data, x))
-        for row in range(self.shape[0]):
-            start, stop = self.indptr[row], self.indptr[row + 1]
-            out[row] = self.data[start:stop] @ x[self.indices[start:stop]]
-        return out
-
-
 def _as_matrix(tensor: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
     """Reshape a weight tensor to the paper's 2-D convention."""
     if tensor.ndim == 2:
@@ -113,23 +40,6 @@ def _as_matrix(tensor: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
         matrix = tensor.reshape(f, -1)
         return matrix, matrix.shape
     raise ValueError(f"unsupported tensor rank {tensor.ndim} (need 2-D or 4-D)")
-
-
-def csr_encode(tensor: np.ndarray) -> CSRMatrix:
-    """Encode a (possibly 4-D) weight tensor as CSR."""
-    matrix, shape = _as_matrix(np.asarray(tensor))
-    rows, _ = shape
-    # np.nonzero scans row-major, which is exactly CSR data order.
-    row_idx, col_idx = np.nonzero(matrix)
-    indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_idx, minlength=rows), out=indptr[1:])
-    return CSRMatrix(
-        data=matrix[row_idx, col_idx].astype(matrix.dtype),
-        indices=col_idx.astype(np.int64),
-        indptr=indptr,
-        shape=shape,
-        orig_shape=tuple(np.asarray(tensor).shape),
-    )
 
 
 class CSRPattern:
@@ -225,6 +135,28 @@ class CSRPattern:
         total = self.shape[0] * self.shape[1]
         return self.nnz / total if total else 0.0
 
+    def storage_bits(self, value_bits: int = 32, index_bits: int = 32) -> int:
+        """Exact storage cost in bits (paper §III-D accounting).
+
+        ``nnz`` values + ``nnz`` column indices + ``rows + 1`` pointers.
+        """
+        return self.nnz * (value_bits + index_bits) + (self.shape[0] + 1) * index_bits
+
+    def to_dense(self, values: Optional[np.ndarray] = None) -> np.ndarray:
+        """The dense float32 tensor (original shape) holding ``values``.
+
+        ``values`` defaults to the pattern's own buffer.
+        """
+        values = self.values if values is None else values
+        rows, cols = self.shape
+        dense = np.zeros((rows, cols), dtype=np.float32)
+        dense[self._row_of(), self.indices] = values
+        return dense.reshape(self.orig_shape)
+
+    def _row_of(self) -> np.ndarray:
+        """Row index of every non-zero."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+
     # ------------------------------------------------------------------
     # Inference freezing
     # ------------------------------------------------------------------
@@ -264,11 +196,8 @@ class CSRPattern:
         if self.flat_index is None:
             # Patterns built via from_arrays defer this (serving never
             # gathers); rebuild it on the first trainable use.
-            rows = np.repeat(
-                np.arange(self.shape[0]), np.diff(self.indptr)
-            )
             self.flat_index = (
-                rows * self.shape[1] + self.indices.astype(np.intp)
+                self._row_of() * self.shape[1] + self.indices
             ).astype(np.intp)
         flat = np.ascontiguousarray(weight).reshape(-1)
         values = self._values_buffer(flat.dtype)
@@ -315,6 +244,10 @@ class CSRPattern:
             # Transpose view shares the data buffer: one gather feeds
             # both the forward and the transposed product.
             self._sp_t = self._sp.T
+            # SciPy copies a data view much smaller than its base (one
+            # layer's slice of a session-wide scratch buffer); rebind so
+            # both matrices keep aliasing ``values``.
+            self._sp.data = self._sp_t.data = data.view(np.ndarray)
         return self._sp
 
     # ------------------------------------------------------------------
@@ -346,33 +279,10 @@ class CSRPattern:
                 sp.data[:] = data
             return np.asarray(self._sp_t @ dense)
         if self._row_of_nz is None:
-            self._row_of_nz = np.repeat(
-                np.arange(self.shape[0]), np.diff(self.indptr)
-            ).astype(np.int64)
+            self._row_of_nz = self._row_of()
         out = np.zeros((self.shape[1], dense.shape[1]),
                        dtype=np.result_type(data, dense))
         np.add.at(out, self.indices.astype(np.int64),
                   data[:, None] * dense[self._row_of_nz])
         return out
 
-
-def csr_decode(matrix: CSRMatrix) -> np.ndarray:
-    """Inverse of :func:`csr_encode`."""
-    return matrix.to_dense()
-
-
-def model_csr_storage_bits(
-    model, value_bits: int = 32, index_bits: int = 32
-) -> int:
-    """Exact CSR storage of every sparsifiable weight in a model.
-
-    This is the measured counterpart of the §III-D analytic formula;
-    tests verify the two agree.
-    """
-    from .mask import sparsifiable_parameters
-
-    total = 0
-    for _, parameter in sparsifiable_parameters(model):
-        encoded = csr_encode(parameter.data)
-        total += encoded.storage_bits(value_bits=value_bits, index_bits=index_bits)
-    return total

@@ -18,7 +18,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..data.telemetry import stream_seed
+from .events import stream_seed
 
 
 class OnlineEncoder:

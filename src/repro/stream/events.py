@@ -12,15 +12,26 @@ minimal vocabulary:
   for the synthetic reference implementation).
 * :class:`EventStream` — a k-way timestamp-ordered merge of sources,
   the feed the session layer consumes.
+* :func:`stream_seed` — the stable per-stream RNG seed that generators
+  and online encoders both derive from.
+
+This module imports nothing else from :mod:`repro`, so the data layer
+and the stream package can both depend on it without a cycle.
 """
 
 from __future__ import annotations
 
 import heapq
+import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
+
+
+def stream_seed(seed: int, stream_id: str) -> int:
+    """Stable per-stream seed: experiment seed folded with the id."""
+    return (int(seed) * 0x9E3779B1 + zlib.crc32(stream_id.encode("utf-8"))) % (2**32)
 
 
 @dataclass(frozen=True)

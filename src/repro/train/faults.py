@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from ..nn.module import Module
-from ..sparse.mask import sparsifiable_parameters
+from ..sparse.engine import sparsifiable_parameters
 from .hooks import TrainerCallback
 
 

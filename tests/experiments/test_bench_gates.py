@@ -247,3 +247,15 @@ class TestPackagingRegressionGate:
         doctored["cold_load_speedup"] = 1e6
         bad.write_text(json.dumps(doctored))
         assert bench.main(argv + ["--check", str(bad)]) == 1
+
+
+@pytest.mark.smoke
+@pytest.mark.parametrize("module_name", [
+    "bench_kernels", "bench_sweep_scaling", "bench_serving",
+    "bench_streaming", "bench_packaging",
+])
+def test_gated_bench_help_renders(module_name, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load_bench(module_name).main(["--help"])
+    assert exit_info.value.code == 0
+    assert "--check" in capsys.readouterr().out

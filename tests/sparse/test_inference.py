@@ -1,4 +1,10 @@
-"""CSR-backed sparse inference: bit-identical to the dense masked model."""
+"""CSR-backed sparse inference through the one ``CSRPattern`` runtime.
+
+Frozen layers serve straight from CSR (values + column indices + row
+pointers) and match the dense masked model; a packed ``.reprom``
+artifact is the compressed deployment form of a trained model, served
+with every weight layer on the CSR route.
+"""
 
 import numpy as np
 import pytest
@@ -7,14 +13,23 @@ from repro.nn import Conv2d, Linear
 from repro.optim import SGD
 from repro.snn.models import SpikingConvNet
 from repro.sparse import (
-    CSRConv2d,
-    CSRLinear,
     NDSNN,
-    compress_model,
-    compressed_storage_bits,
-    compression_report,
+    PackedModel,
+    SparsityManager,
+    StoredPackedState,
+    build_packed_runtime,
+    serving_storage_report,
+    write_package,
 )
 from repro.tensor import Tensor, cross_entropy, no_grad
+
+CONVNET_SPEC = {
+    "model": "convnet",
+    "kwargs": {"num_classes": 5, "in_channels": 2, "image_size": 8,
+               "channels": [8, 8], "timesteps": 2},
+    "encoder": "direct",
+    "seed": 0,
+}
 
 
 def sparse_trained_model(seed=0):
@@ -40,69 +55,98 @@ def sparse_trained_model(seed=0):
     return model, method
 
 
+def packaged(tmp_path, model, manager, precision="int8"):
+    model.eval()
+    path = tmp_path / f"model_{precision}.reprom"
+    write_package(path, model, manager, CONVNET_SPEC, precision=precision)
+    return build_packed_runtime(PackedModel(path), precision=precision)
+
+
+def frozen_csr(layer):
+    """Freeze ``layer`` onto the CSR route with its non-zeros as mask."""
+    manager = SparsityManager(layer)
+    manager.set_mask("weight", layer.weight.data != 0)
+    manager.set_execution("csr")
+    manager.freeze()
+    assert layer.dispatch_info()["route"] == "csr"
+    return manager
+
+
 class TestCSRLayers:
     def test_csr_linear_matches_dense(self):
         layer = Linear(10, 6, rng=np.random.default_rng(0))
         layer.weight.data *= (np.random.default_rng(1).random((6, 10)) < 0.4)
-        csr = CSRLinear.from_layer(layer)
         x = Tensor(np.random.default_rng(2).standard_normal((3, 10)).astype(np.float32))
-        assert np.allclose(csr(x).data, layer(x).data, atol=1e-5)
+        dense = layer(x).data
+        frozen_csr(layer)
+        assert np.allclose(layer(x).data, dense, atol=1e-5)
 
     def test_csr_conv_matches_dense(self):
         layer = Conv2d(3, 5, 3, stride=2, padding=1, rng=np.random.default_rng(3))
         layer.weight.data *= (np.random.default_rng(4).random(layer.weight.shape) < 0.3)
-        csr = CSRConv2d.from_layer(layer)
         x = Tensor(np.random.default_rng(5).standard_normal((2, 3, 8, 8)).astype(np.float32))
-        assert np.allclose(csr(x).data, layer(x).data, atol=1e-4)
+        dense = layer(x).data
+        frozen_csr(layer)
+        assert np.allclose(layer(x).data, dense, atol=1e-4)
 
     def test_csr_conv_channel_check(self):
         layer = Conv2d(3, 5, 3, rng=np.random.default_rng(6))
-        csr = CSRConv2d.from_layer(layer)
+        frozen_csr(layer)
         with pytest.raises(ValueError):
-            csr(Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32)))
+            layer(Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32)))
 
     def test_no_bias_layers(self):
         layer = Linear(4, 3, bias=False, rng=np.random.default_rng(7))
-        csr = CSRLinear.from_layer(layer)
         x = Tensor(np.random.default_rng(8).standard_normal((2, 4)).astype(np.float32))
-        assert np.allclose(csr(x).data, layer(x).data, atol=1e-5)
+        dense = layer(x).data
+        frozen_csr(layer)
+        assert np.allclose(layer(x).data, dense, atol=1e-5)
 
 
 class TestCompressModel:
     def test_outputs_identical_after_compression(self):
-        model, _ = sparse_trained_model()
+        model, method = sparse_trained_model()
         x = Tensor(np.random.default_rng(9).standard_normal((3, 2, 8, 8)).astype(np.float32))
         model.eval()
         with no_grad():
             dense_out = model(x).data.copy()
-        compress_model(model)
+        method.masks.set_execution("csr")
+        method.masks.freeze()
         with no_grad():
             sparse_out = model(x).data
         assert np.allclose(dense_out, sparse_out, atol=1e-4)
 
-    def test_all_weight_layers_replaced(self):
-        model, _ = sparse_trained_model(seed=1)
-        compress_model(model)
-        remaining = [
-            m for m in model.modules() if isinstance(m, (Linear, Conv2d))
-        ]
-        assert remaining == []
+    def test_all_weight_layers_replaced(self, tmp_path):
+        model, method = sparse_trained_model(seed=1)
+        served, manager = packaged(tmp_path, model, method.masks)
+        layers = [m for m in served.modules() if isinstance(m, (Linear, Conv2d))]
+        assert len(layers) == 3
+        for layer in layers:
+            assert isinstance(layer.weight_state, StoredPackedState)
+            assert layer.dispatch_info()["route"] == "csr"
+            # no dense weight exists: a read-only zero-stride placeholder
+            weight = layer.weight.data
+            assert not weight.flags.writeable
+            assert all(stride == 0 for stride in weight.strides)
 
-    def test_report_density_matches_training_sparsity(self):
+    def test_report_density_matches_training_sparsity(self, tmp_path):
         model, method = sparse_trained_model(seed=2)
         sparsity = method.sparsity()
-        compress_model(model)
-        report = compression_report(model)
-        assert report["num_compressed_layers"] == 3  # 2 convs + classifier
-        assert abs((1.0 - report["density"]) - sparsity) < 1e-6
-        assert report["storage_bits"] == compressed_storage_bits(model)
+        _, manager = packaged(tmp_path, model, method.masks)
+        report = serving_storage_report(manager)
+        assert len(report["layers"]) == 3  # 2 convs + classifier
+        assert abs(manager.sparsity() - sparsity) < 1e-6
+        assert report["total_csr_bits"] == sum(
+            state.csr_pattern().storage_bits() for state in manager.states.values()
+        )
 
     def test_storage_shrinks_with_sparsity(self):
-        dense_model, _ = sparse_trained_model(seed=3)
-        bits_sparse = compression_report(compress_model(dense_model))["storage_bits"]
+        model, method = sparse_trained_model(seed=3)
+        bits_sparse = serving_storage_report(method.masks)
 
         fresh = SpikingConvNet(num_classes=5, in_channels=2, image_size=8,
                                channels=(8, 8), timesteps=2,
                                rng=np.random.default_rng(3))
-        bits_dense = compression_report(compress_model(fresh))["storage_bits"]
-        assert bits_sparse < bits_dense
+        bits_dense = serving_storage_report(SparsityManager(fresh))
+        assert bits_sparse["total_csr_bits"] < bits_dense["total_csr_bits"]
+        assert bits_sparse["total_packed_bytes"] < bits_dense["total_packed_bytes"]

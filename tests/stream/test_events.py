@@ -1,8 +1,14 @@
 """Event-stream layer: records, sources, merge, synthetic telemetry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.data.telemetry import TelemetrySource, make_telemetry_stream, stream_seed
 from repro.stream import EventStream, ListSource, StreamEvent
 
@@ -119,3 +125,16 @@ class TestTelemetrySource:
         stream = make_telemetry_stream(num_streams=3, num_channels=4, num_events=4)
         assert stream.stream_ids == ["device-00", "device-01", "device-02"]
         assert len(list(stream)) == 12
+
+
+@pytest.mark.parametrize("module", ["repro.data.telemetry", "repro.stream.encoders"])
+def test_fresh_interpreter_imports_either_side_first(module):
+    """The telemetry generators and the stream package depend on each
+    other's leaf helpers; importing either one first must not hit a
+    partially initialized module."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr

@@ -7,7 +7,7 @@ from repro.data import DataLoader, make_dataset, standard_train_transform
 from repro.optim import SGD, CosineAnnealingLR
 from repro.snn import spike_rate
 from repro.snn.models import build_model
-from repro.sparse import NDSNN, DenseMethod, csr_encode
+from repro.sparse import NDSNN, DenseMethod
 from repro.tensor import Tensor
 from repro.train import (
     Trainer,
@@ -79,10 +79,10 @@ class TestFullPipeline:
                        rng=np.random.default_rng(3))
         trainer, model = build_pipeline(method, seed=3, epochs=2)
         trainer.fit(2)
-        for name, parameter in method.masks.parameters.items():
-            encoded = csr_encode(parameter.data)
-            assert np.array_equal(encoded.to_dense(), parameter.data)
-            assert abs(encoded.sparsity - method.masks.layer_sparsity(name)) < 1e-6
+        for name, state in method.masks.states.items():
+            pattern = state.csr_pattern()
+            assert np.array_equal(pattern.to_dense(state.csr_values()), state.parameter.data)
+            assert abs((1.0 - pattern.density) - method.masks.layer_sparsity(name)) < 1e-6
 
     def test_checkpoint_resume_preserves_behaviour(self, tmp_path):
         method = NDSNN(initial_sparsity=0.5, final_sparsity=0.9,
