@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  "buffers at load) or the artifact's stored f16/int8 "
                  "(each layer dequantizes into one shared scratch buffer "
                  "per forward: bit-identical outputs, one layer of float32 "
-                 "values in memory, ~1.3x the f32 p50)",
+                 "values in memory, ~1.25x the f32 p50)",
         )
         parser.add_argument("--method", default="ndsnn", choices=METHOD_CHOICES + ("structured",))
         parser.add_argument(
@@ -145,8 +145,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_serving_arguments(serve)
     serve.add_argument("--workers", type=int, default=2, help="worker thread count")
     serve.add_argument(
-        "--max-latency-ms", type=float, default=5.0,
-        help="micro-batch flush deadline (oldest request age)",
+        "--max-latency-ms", type=float, default=0.0,
+        help="micro-batch flush deadline (oldest request age); the "
+             "default 0 hands queued requests to the first idle worker "
+             "at once, a positive value holds short batches for more "
+             "arrivals",
     )
     serve.add_argument(
         "--requests", type=int, default=64,

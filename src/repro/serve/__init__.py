@@ -10,8 +10,9 @@ turns them into a service.  Three pieces compose:
   inference-frozen (read-only CSR buffers, no dense grads) and pad
   every forward to one canonical batch shape so results are
   bit-identical no matter how requests were grouped.
-* :class:`~repro.serve.batcher.MicroBatcher` — request queue with a
-  max-batch / max-latency flush policy.
+* :class:`~repro.serve.batcher.MicroBatcher` — request queue that hands
+  up to ``max_batch`` requests to the first idle worker (an explicit
+  max-latency deadline is opt-in).
 * :class:`~repro.serve.server.InferenceServer` — proactor-style worker
   pool: a supervisor restarts crashed workers and their in-flight
   requests are re-dispatched, not dropped.

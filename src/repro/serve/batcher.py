@@ -1,4 +1,5 @@
-"""Request micro-batching with a max-latency / max-batch flush policy."""
+"""Request micro-batching: work-conserving by default, with an opt-in
+max-latency deadline."""
 
 from __future__ import annotations
 
@@ -26,14 +27,18 @@ class MicroBatcher:
 
     Flush policy: :meth:`next_batch` hands out up to ``max_batch``
     requests as soon as either the queue holds a full batch or the
-    oldest queued request has waited ``max_latency_s`` — the standard
-    throughput/latency trade of batched serving.  Crashed workers hand
+    oldest queued request has waited ``max_latency_s``.  The default
+    deadline of 0 is work-conserving: an idle worker takes whatever is
+    queued, and a backlog built while every worker is busy still leaves
+    in full batches.  Sessions pad every forward to ``max_batch`` rows,
+    so waiting for more arrivals never makes a batch cheaper; a positive
+    deadline trades latency for fewer forwards.  Crashed workers hand
     their in-flight requests back through :meth:`requeue`, which puts
     them at the *front* of the queue so retried work is never starved
     by new arrivals.
     """
 
-    def __init__(self, max_batch: int = 8, max_latency_s: float = 0.005) -> None:
+    def __init__(self, max_batch: int = 8, max_latency_s: float = 0.0) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_latency_s < 0:

@@ -185,8 +185,8 @@ class ModelRegistry:
         from: the default ``"f32"`` pre-scales quantized values into
         float32 buffers at load, while ``"f16"`` / ``"int8"`` keep the
         mapped buffers at stored precision and dequantize one layer at
-        a time into a per-session scratch buffer — bit-identical
-        outputs at ~1.3x the f32 p50 (see
+        a time, once per forward, into a per-session scratch buffer —
+        bit-identical outputs at ~1.25x the f32 p50 (see
         :func:`~repro.sparse.packaging.build_packed_runtime`).  No
         training-stack module is imported on this path.
         """

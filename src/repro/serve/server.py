@@ -33,7 +33,9 @@ class InferenceServer:
     workers:
         Worker thread count.
     max_batch / max_latency_s:
-        Micro-batch flush policy (see :class:`MicroBatcher`).
+        Micro-batch flush policy (see :class:`MicroBatcher`); the
+        default deadline of 0 hands queued requests to the first idle
+        worker.
     max_attempts:
         Dispatch attempts per request before its future fails.
     max_restarts:
@@ -46,7 +48,7 @@ class InferenceServer:
         session_factory: Callable[[], object],
         workers: int = 2,
         max_batch: int = 8,
-        max_latency_s: float = 0.005,
+        max_latency_s: float = 0.0,
         max_attempts: int = 3,
         max_restarts: int = 8,
         supervise_interval_s: float = 0.01,

@@ -19,7 +19,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..nn.module import Module
-from ..tensor import Tensor, is_grad_enabled
+from ..tensor import Tensor, concatenate, is_grad_enabled
+from ..tensor.tensor import stacked_shape, time_blocks
 from .surrogate import FastInverse, SurrogateFunction, get_surrogate
 
 
@@ -64,6 +65,21 @@ class BaseNeuron(Module):
         self.o_prev: Optional[Tensor] = None
         self.spike_count = 0.0
         self.neuron_steps = 0
+
+    def __call__(self, current: Tensor) -> Tensor:
+        """One timestep, or every timestep of a layer-major forward.
+
+        Inside :func:`~repro.tensor.tensor.stacked_timesteps` the subclass's
+        single-step :meth:`forward` is unrolled over the time blocks of
+        ``current`` (or fed the same current at every step when it
+        holds one block's rows, as a direct-encoded input does), and
+        the spikes come back stacked the same way.
+        """
+        shape = stacked_shape()
+        if shape is None:
+            return self.forward(current)
+        blocks = time_blocks(current) or [current] * shape[0]
+        return concatenate([self.forward(block) for block in blocks])
 
     def reset_state(self) -> None:
         """Clear membrane potential and previous output (between samples)."""

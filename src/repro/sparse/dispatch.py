@@ -17,10 +17,11 @@ mechanisms guarantee it:
 
 * **Shared write-once cache.**  When ``REPRO_CALIBRATION_DIR`` is set
   (the test suite and the sweep queue do so), the first process to
-  calibrate a shape publishes its cutoff with an ``O_CREAT | O_EXCL``
-  create; every later measurement of that shape — in this process or
-  any other sharing the directory — adopts the published value instead
-  of its own timing.
+  calibrate a shape publishes its cutoff with an atomic exclusive
+  create (a hard link of a fully written file); every later
+  measurement of that shape — in this process or any other sharing
+  the directory — adopts the published value instead of its own
+  timing.
 * **Checkpoint persistence.**  A training checkpoint stores the run's
   calibration table (see ``repro.train.checkpoint``), and a resumed run
   restores it verbatim, overriding anything freshly measured.
@@ -28,8 +29,10 @@ mechanisms guarantee it:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 import time
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -128,7 +131,12 @@ def _cache_path(directory: str, rows: int, cols: int) -> str:
 
 
 def _publish(directory: str, rows: int, cols: int, measured: Dict) -> float:
-    """Write-once publish; on collision adopt the winner's cutoff."""
+    """Write-once publish; on collision adopt the winner's cutoff.
+
+    The payload is written to a private temporary file and hard-linked
+    into place, which fails if the name exists, so a concurrent reader
+    never opens a half-written file.
+    """
     path = _cache_path(directory, rows, cols)
     payload = {
         "rows": rows,
@@ -137,14 +145,22 @@ def _publish(directory: str, rows: int, cols: int, measured: Dict) -> float:
         "buckets": {f"{d:.2f}": float(s) for d, s in measured["buckets"].items()},
     }
     try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+        fd, staging = tempfile.mkstemp(dir=directory, prefix=".calibration-", suffix=".tmp")
+    except OSError:
+        return float(measured["cutoff"])  # unwritable dir: keep our own
+    try:
+        with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), 0o644)
+            json.dump(payload, handle, indent=2)
+        os.link(staging, path)
     except FileExistsError:
         with open(path) as handle:
             return float(json.load(handle)["cutoff"])
     except OSError:
-        return float(measured["cutoff"])  # unwritable dir: keep our own
-    with os.fdopen(fd, "w") as handle:
-        json.dump(payload, handle, indent=2)
+        return float(measured["cutoff"])
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(staging)
     return float(measured["cutoff"])
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conv import col2im_t, conv_output_shape, im2col_t
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor, concatenate, is_grad_enabled, time_blocks
 
 #: Dispatch counters (reset freely in tests/benches): how many forward
 #: calls took each route since process start.
@@ -56,6 +56,13 @@ def _csr_values(state, pattern, weight) -> np.ndarray:
     return pattern.gather(weight)
 
 
+def _dense_linear(x: Tensor, weight: Tensor, bias: Tensor = None) -> Tensor:
+    out = x.matmul(weight.T)
+    if bias is not None:
+        out = out + bias
+    return out
+
+
 def masked_linear(x: Tensor, weight: Tensor, bias: Tensor = None, state=None) -> Tensor:
     """``y = x W^T + b`` with density-based dense/CSR dispatch.
 
@@ -65,10 +72,12 @@ def masked_linear(x: Tensor, weight: Tensor, bias: Tensor = None, state=None) ->
     """
     if not _use_csr(state):
         DISPATCH_COUNTS["dense"] += 1
-        out = x.matmul(weight.T)
-        if bias is not None:
-            out = out + bias
-        return out
+        # BLAS picks its kernel by row count, so a stacked layer-major
+        # batch runs one product per timestep to stay bit-identical.
+        blocks = time_blocks(x)
+        if blocks is not None:
+            return concatenate([_dense_linear(block, weight, bias) for block in blocks])
+        return _dense_linear(x, weight, bias)
     DISPATCH_COUNTS["csr"] += 1
     pattern = state.csr_pattern()
     data = _csr_values(state, pattern, weight.data)
@@ -117,6 +126,11 @@ def masked_conv2d(
         DISPATCH_COUNTS["dense"] += 1
         from .conv import conv2d
 
+        blocks = time_blocks(x)
+        if blocks is not None:  # per timestep, as in masked_linear
+            return concatenate([
+                conv2d(block, weight, bias, stride=stride, padding=padding) for block in blocks
+            ])
         return conv2d(x, weight, bias, stride=stride, padding=padding)
     DISPATCH_COUNTS["csr"] += 1
 

@@ -52,6 +52,56 @@ def is_grad_enabled() -> bool:
     return getattr(_GRAD_STATE, "enabled", True)
 
 
+# Layer-major spiking forwards stack their timesteps into one batch;
+# per-thread for the same reason as grad mode.
+_STEP_STATE = threading.local()
+
+
+@contextlib.contextmanager
+def stacked_timesteps(steps: int, rows: int):
+    """Mark ``steps * rows``-row tensors as time-major row blocks.
+
+    Inside the block, a tensor with ``steps * rows`` rows holds
+    timestep ``t`` in rows ``[t * rows, (t + 1) * rows)``; one with
+    ``rows`` rows is the same at every step.  Ops whose per-row result
+    depends on the row count (dense BLAS products) and the spiking
+    neurons split such tensors with :func:`time_blocks`.  Grad-free
+    forwards only: the blocks are detached from the tape, so entering
+    with autograd on raises.
+    """
+    if is_grad_enabled():
+        raise RuntimeError("stacked_timesteps requires autograd off (no_grad)")
+    previous = stacked_shape()
+    _STEP_STATE.shape = (int(steps), int(rows))
+    try:
+        yield
+    finally:
+        _STEP_STATE.shape = previous
+
+
+def stacked_shape() -> Optional[Tuple[int, int]]:
+    """``(steps, rows)`` of the enclosing :func:`stacked_timesteps`, else None."""
+    return getattr(_STEP_STATE, "shape", None)
+
+
+def time_blocks(x: "Tensor") -> Optional[list]:
+    """The per-timestep row blocks of ``x`` inside :func:`stacked_timesteps`.
+
+    ``None`` outside a stacked forward and for a tensor holding one
+    block's rows (a direct-encoded input before the first neuron).
+    """
+    shape = stacked_shape()
+    if shape is None or x.shape[0] == shape[1]:
+        return None
+    steps, rows = shape
+    if x.shape[0] != steps * rows:
+        raise ValueError(
+            f"a stacked forward of {steps} timesteps x {rows} rows met a "
+            f"tensor with {x.shape[0]} rows"
+        )
+    return [Tensor(x.data[step * rows:(step + 1) * rows]) for step in range(steps)]
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so that its shape matches ``shape``.
 

@@ -38,6 +38,13 @@ def make_samples(count, seed=5):
     ).astype(np.float32)
 
 
+class _NeverWaits(threading.Condition):
+    """A batcher condition that fails the test instead of blocking."""
+
+    def wait(self, timeout=None):
+        raise AssertionError(f"next_batch blocked (timeout={timeout})")
+
+
 @pytest.mark.smoke
 class TestMicroBatcher:
     def test_full_batch_flushes_immediately(self):
@@ -76,6 +83,28 @@ class TestMicroBatcher:
         (again,) = batcher.next_batch()
         assert again is request
         assert again.attempts == 2
+
+    def test_default_hands_a_lone_request_over_without_waiting(self):
+        batcher = MicroBatcher(max_batch=8)
+        batcher._condition = _NeverWaits()
+        batcher.submit("only")
+        # A deadline would block on the condition; the default must not.
+        assert [r.payload for r in batcher.next_batch()] == ["only"]
+
+    def test_default_still_fills_a_batch_from_a_backlog(self):
+        batcher = MicroBatcher(max_batch=8)
+        batcher._condition = _NeverWaits()
+        for i in range(9):
+            batcher.submit(i)
+        assert [r.payload for r in batcher.next_batch()] == list(range(8))
+        assert [r.payload for r in batcher.next_batch()] == [8]
+
+    def test_server_and_cli_default_to_the_work_conserving_flush(self):
+        from repro.cli import _build_parser
+
+        assert InferenceServer(lambda: None).batcher.max_latency_s == 0.0
+        args = _build_parser().parse_args(["serve", "--checkpoint", "ckpt"])
+        assert args.max_latency_ms == 0.0
 
     def test_close_drains_then_returns_none(self):
         batcher = MicroBatcher(max_batch=8, max_latency_s=60.0)

@@ -88,6 +88,26 @@ class TestGetCutoff:
         assert payload["cutoff"] == 0.35
         assert payload["rows"] == 8 and payload["cols"] == 24
 
+    def test_reader_never_sees_a_half_written_file(self, cache_dir, monkeypatch):
+        # A sibling process looks the shape up while the first
+        # publisher is still writing: it must not open the unfinished
+        # file, and both end on the one published cutoff.
+        real_dump = json.dump
+        sibling = []
+        nested = []
+
+        def dump(payload, handle, **kwargs):
+            if not nested:
+                nested.append(True)
+                clear_process_cache()
+                sibling.append(get_cutoff(12, 20, measure=fake_measure(0.4)))
+            real_dump(payload, handle, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump)
+        first = get_cutoff(12, 20, measure=fake_measure(0.1))
+        assert sibling == [0.4] and first == 0.4
+        assert [p.name for p in cache_dir.iterdir()] == ["calibration-12x20.json"]
+
     def test_no_cache_dir_still_memoizes(self, monkeypatch):
         monkeypatch.delenv(CALIBRATION_ENV, raising=False)
         clear_process_cache()

@@ -9,7 +9,9 @@ Property-based where it matters:
   values;
 * export → load → infer is **bit-stable across processes** (two fresh
   interpreters agree byte-for-byte on the same package);
-* package-backed serving never imports the training stack; and
+* package-backed serving never imports the training stack;
+* every session of one package aliases a single read-only decoded
+  copy of each layer's column indices; and
 * the storage report's packed bytes are the real file's bytes, not a
   formula.
 """
@@ -18,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +229,49 @@ class TestPackedArtifact:
             assert not values.flags.writeable
             assert np.shares_memory(values, package._mm), name
             assert np.array_equal(values, manager.states[name].csr_values())
+
+    @pytest.mark.parametrize("runtime", ["f32", "int8"])
+    def test_sessions_share_one_read_only_decoded_index_copy(self, tmp_path, runtime):
+        _, _, path, _ = make_packaged_mlp(tmp_path, precision="int8")
+        registry = ModelRegistry().load_package("mlp", path, precision=runtime)
+        first, second = registry.session("mlp"), registry.session("mlp")
+        inputs = np.random.default_rng(0).standard_normal((2, 16)).astype(np.float32)
+        assert np.array_equal(first.predict(inputs), second.predict(inputs))
+        for name, state in first.manager.states.items():
+            mine = state.csr_pattern()
+            theirs = second.manager.states[name].csr_pattern()
+            for array, other in ((mine.indices, theirs.indices),
+                                 (mine.indptr, theirs.indptr)):
+                assert np.shares_memory(array, other), name
+                assert not array.flags.writeable
+            # scipy's cached matrix reads the shared copy too
+            assert np.shares_memory(mine._sp.indices, theirs.indices), name
+
+    def test_concurrent_first_decodes_share_one_copy(self, tmp_path):
+        _, _, path, _ = make_packaged_mlp(tmp_path, precision="int8")
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                package = PackedModel(path)
+                entry = package.meta["layers"][0]
+                barrier = threading.Barrier(8)
+                decoded = []
+
+                def decode():
+                    barrier.wait(timeout=30)
+                    decoded.append(package.layer_indices(entry)[0])
+
+                threads = [threading.Thread(target=decode) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(decoded) == 8
+                assert all(array is decoded[0] for array in decoded)
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_f16_biases_served_end_to_end(self, tmp_path):
         model, _, path, _ = make_packaged_mlp(tmp_path, precision="int8")

@@ -10,6 +10,7 @@ its product.  Pinned here:
   ``max_batch``;
 * blocked dequantization reproduces the elementwise
   ``q.astype(float32) * scale[row]`` reference at any block size;
+* each layer dequantizes once per forward (not once per timestep);
 * no buffer that aliases the map ever becomes writable;
 * per ``tracemalloc``, a stored-precision session retains fewer bytes
   than the f32 runtime, and a forward's transient peak stays below the
@@ -142,6 +143,26 @@ def test_bit_identical_to_prescaled_f32_runtime(packages, kind, precision, seed)
                            max_batch=MAX_BATCH)
     inputs = rng.standard_normal((3,) + shape).astype(np.float32)
     assert stored.predict(inputs).tobytes() == f32.predict(inputs).tobytes()
+
+
+@pytest.mark.parametrize("precision", ["f16", "int8"])
+def test_each_layer_dequantizes_once_per_predict(packages, precision, monkeypatch):
+    calls = []
+    dequantize = StoredPackedState.csr_values
+
+    def counted(state):
+        calls.append(state.name)
+        return dequantize(state)
+
+    monkeypatch.setattr(StoredPackedState, "csr_values", counted)
+    model, manager = build_packed_runtime(packages[("mlp", precision)], precision=precision)
+    session = InferenceSession(model, manager, max_batch=MAX_BATCH)
+    assert model.timesteps == 3
+    session.predict(np.ones((MAX_BATCH, 16), dtype=np.float32))
+    assert sorted(calls) == sorted(manager.states)
+    calls.clear()
+    session.predict(np.ones((1, 16), dtype=np.float32))
+    assert sorted(calls) == sorted(manager.states)
 
 
 @pytest.mark.parametrize("precision", ["f16", "int8"])
