@@ -245,7 +245,12 @@ class _BenchState:
 
 def compare_masked_conv(filters, channels, kernel, height, width, batch,
                         sparsity, repeats=20, seed=0):
-    """One conv cell: dense conv2d vs the direct sparse-filter kernel."""
+    """One conv cell: dense conv2d vs the direct sparse-filter kernel.
+
+    ``speedup`` times the forward alone (gated); ``speedup_fb`` times
+    forward + backward with the dense weight gradient on both routes
+    (report-only).
+    """
     from repro.tensor import masked_conv2d
 
     rng = np.random.default_rng(seed)
@@ -267,6 +272,25 @@ def compare_masked_conv(filters, channels, kernel, height, width, batch,
         lambda: masked_conv2d(x, weight_t, None, padding=padding, state=state), repeats
     )
 
+    # Forward + backward, report-only: both routes pay the dense weight
+    # gradient (regrowth scores need it) and the input gradient.
+    x_grad = Tensor(x.data, requires_grad=True)
+    weight_grad = Tensor(weight, requires_grad=True)
+    upstream = rng.standard_normal(
+        (batch, filters, height, width)).astype(np.float32)
+
+    def forward_backward(route_state):
+        x_grad.zero_grad()
+        weight_grad.zero_grad()
+        if route_state is None:
+            out = conv2d(x_grad, weight_grad, None, padding=padding)
+        else:
+            out = masked_conv2d(x_grad, weight_grad, None, padding=padding, state=route_state)
+        out.backward(upstream)
+
+    dense_fb_s = _time(lambda: forward_backward(None), repeats)
+    csr_fb_s = _time(lambda: forward_backward(state), repeats)
+
     reference = conv2d(x, weight_t, None, padding=padding).data
     produced = masked_conv2d(x, weight_t, None, padding=padding, state=state).data
     max_err = float(np.abs(produced - reference).max())
@@ -287,6 +311,9 @@ def compare_masked_conv(filters, channels, kernel, height, width, batch,
         "dense_us": dense_s * 1e6,
         "csr_us": csr_s * 1e6,
         "speedup": dense_s / csr_s,
+        "dense_fb_us": dense_fb_s * 1e6,
+        "csr_fb_us": csr_fb_s * 1e6,
+        "speedup_fb": dense_fb_s / csr_fb_s,
         "max_abs_error": max_err,
     }
 
@@ -408,7 +435,9 @@ def main(argv=None):
         print(
             f"conv {cell['filters']}x{cell['channels']}x{cell['kernel']} "
             f"sparsity={cell['sparsity']:.2f}: dense {cell['dense_us']:8.1f}us  "
-            f"csr {cell['csr_us']:8.1f}us ({cell['speedup']:.2f}x)"
+            f"csr {cell['csr_us']:8.1f}us ({cell['speedup']:.2f}x); fwd+bwd "
+            f"dense {cell['dense_fb_us']:8.1f}us csr {cell['csr_fb_us']:8.1f}us "
+            f"({cell['speedup_fb']:.2f}x)"
         )
     for cell in payload["auto_cells"]:
         print(

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..tensor import Tensor, avg_pool2d, masked_conv2d, masked_linear, max_pool2d
+from ..tensor import Tensor, avg_pool2d, is_grad_enabled, masked_conv2d, masked_linear, max_pool2d
 from . import init
 from .module import Module, Parameter
 
@@ -165,6 +165,65 @@ class Conv2d(Module):
         )
 
 
+def _batch_norm(layer, x: Tensor, axes) -> Tensor:
+    """Batch normalization of ``x`` over ``axes`` as one autograd node.
+
+    Train mode normalizes by the batch statistics and folds them into
+    the layer's running statistics; eval mode uses the running ones.
+    The forward and the running-statistic update evaluate the same
+    float32 expressions, in the same order, as the composed
+    ``(x - mean) / sqrt(var + eps) * weight + bias`` Tensor graph
+    (with ``x.mean``/``x.var`` statistics), so they are bit-identical
+    to it; the backward is the analytic batch-norm gradient.
+    """
+    shape = [1] * x.ndim
+    shape[1] = layer.num_features
+    if layer.training:
+        inv_count = np.float32(1.0 / (x.data.size // layer.num_features))
+        mean = x.data.sum(axis=axes, keepdims=True) * inv_count
+        centered = x.data - mean
+        var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
+        m = layer.momentum
+        layer.update_buffer(
+            "running_mean",
+            ((1 - m) * layer.running_mean + m * mean.reshape(-1)).astype(np.float32),
+        )
+        layer.update_buffer(
+            "running_var",
+            ((1 - m) * layer.running_var + m * var.reshape(-1)).astype(np.float32),
+        )
+    else:
+        centered = x.data - layer.running_mean.reshape(shape)
+        var = layer.running_var.reshape(shape)
+    std = np.sqrt(var + np.float32(layer.eps))
+    x_hat = centered / std
+    scale = layer.weight.data.reshape(shape)
+    out_data = x_hat * scale + layer.bias.data.reshape(shape)
+
+    weight, bias, training = layer.weight, layer.bias, layer.training
+    parents = (x, weight, bias)
+    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    out = Tensor(out_data, requires_grad=requires, _prev=parents if requires else (), _op="batch_norm")
+
+    def backward(grad: np.ndarray) -> None:
+        if weight.requires_grad:
+            weight._accumulate((grad * x_hat).sum(axis=axes))
+        if bias.requires_grad:
+            bias._accumulate(grad.sum(axis=axes))
+        if x.requires_grad:
+            grad_hat = grad * scale
+            if training:  # the batch statistics depend on x too
+                grad_hat = (
+                    grad_hat
+                    - grad_hat.mean(axis=axes, keepdims=True)
+                    - x_hat * (grad_hat * x_hat).mean(axis=axes, keepdims=True)
+                )
+            x._accumulate(grad_hat / std)
+
+    out._backward = backward
+    return out
+
+
 class BatchNorm2d(Module):
     """Batch normalization over ``(N, C, H, W)`` inputs.
 
@@ -184,22 +243,7 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError("BatchNorm2d expects (N, C, H, W) input")
-        axes = (0, 2, 3)
-        if self.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
-            with_momentum = self.momentum
-            new_mean = (1 - with_momentum) * self.running_mean + with_momentum * mean.data.reshape(-1)
-            new_var = (1 - with_momentum) * self.running_var + with_momentum * var.data.reshape(-1)
-            self.update_buffer("running_mean", new_mean.astype(np.float32))
-            self.update_buffer("running_var", new_var.astype(np.float32))
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
-        x_hat = (x - mean) / (var + self.eps).sqrt()
-        scale = self.weight.reshape(1, self.num_features, 1, 1)
-        shift = self.bias.reshape(1, self.num_features, 1, 1)
-        return x_hat * scale + shift
+        return _batch_norm(self, x, (0, 2, 3))
 
     def compact(self, keep) -> "BatchNorm2d":
         """Shrink to the kept channels (affine params + running stats)."""
@@ -235,23 +279,7 @@ class BatchNorm1d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2:
             raise ValueError("BatchNorm1d expects (N, F) input")
-        if self.training:
-            mean = x.mean(axis=0, keepdims=True)
-            var = x.var(axis=0, keepdims=True)
-            m = self.momentum
-            self.update_buffer(
-                "running_mean",
-                ((1 - m) * self.running_mean + m * mean.data.reshape(-1)).astype(np.float32),
-            )
-            self.update_buffer(
-                "running_var",
-                ((1 - m) * self.running_var + m * var.data.reshape(-1)).astype(np.float32),
-            )
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1))
-            var = Tensor(self.running_var.reshape(1, -1))
-        x_hat = (x - mean) / (var + self.eps).sqrt()
-        return x_hat * self.weight.reshape(1, -1) + self.bias.reshape(1, -1)
+        return _batch_norm(self, x, (0,))
 
     def compact(self, keep) -> "BatchNorm1d":
         """Shrink to the kept features (affine params + running stats)."""

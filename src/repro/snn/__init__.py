@@ -14,7 +14,8 @@ from .neuron import (
     LIFNeuron,
     ParametricLIFNeuron,
     build_neuron,
-    spike_function,
+    fire,
+    integrate,
 )
 from .extensions import (
     AdaptiveLIFNeuron,
@@ -43,7 +44,8 @@ __all__ = [
     "ParametricLIFNeuron",
     "BaseNeuron",
     "build_neuron",
-    "spike_function",
+    "integrate",
+    "fire",
     "SurrogateFunction",
     "FastInverse",
     "ATan",

@@ -24,7 +24,7 @@ import numpy as np
 from ..nn import BatchNorm2d, Linear
 from ..nn.module import Module
 from ..tensor import Tensor
-from .neuron import BaseNeuron, spike_function
+from .neuron import BaseNeuron
 from .surrogate import SurrogateFunction
 
 
@@ -80,20 +80,11 @@ class AdaptiveLIFNeuron(BaseNeuron):
     def forward(self, current: Tensor) -> Tensor:
         if self.adaptation is None:
             self.adaptation = np.zeros(current.shape, dtype=np.float32)
-        if self.v is None:
-            self.v = current
-        else:
-            membrane = self.v * self.alpha + current
-            if self.o_prev is not None:
-                membrane = membrane - self.o_prev * self.v_threshold
-            self.v = membrane
-        effective_threshold = self.v_threshold + self.beta * self.adaptation
-        spikes = spike_function(self.v - Tensor(effective_threshold), self.surrogate)
         # The adaptation trace is treated as a constant w.r.t. the tape
         # (standard ALIF practice: no gradient through the threshold).
+        effective_threshold = self.v_threshold + self.beta * self.adaptation
+        spikes = self._step(current, self.alpha, effective_threshold)
         self.adaptation = self.rho * self.adaptation + spikes.data
-        self.o_prev = spikes
-        self._record(spikes)
         return spikes
 
     def __repr__(self) -> str:

@@ -20,22 +20,57 @@ import numpy as np
 
 from ..nn.module import Module
 from ..tensor import Tensor, concatenate, is_grad_enabled
-from ..tensor.tensor import stacked_shape, time_blocks
+from ..tensor.tensor import _unbroadcast, stacked_shape, time_blocks
 from .surrogate import FastInverse, SurrogateFunction, get_surrogate
 
 
-def spike_function(x: Tensor, surrogate: SurrogateFunction) -> Tensor:
-    """Heaviside forward with surrogate-gradient backward.
+def integrate(v: Tensor, current: Tensor, o_prev: Optional[Tensor], alpha, theta: float) -> Tensor:
+    """Membrane update of Eq. 1a, ``v * alpha + I - theta * o_prev``, as one node.
 
-    ``x`` is the membrane potential already shifted by the threshold,
-    so the spike condition is ``x >= 0``.
+    ``alpha`` is the leak: a float, ``None`` for no leak (IF), or a
+    tensor (PLIF's sigmoid decay), which then receives its gradient
+    too.  ``o_prev`` may be ``None`` (no reset term).  The forward
+    evaluates the composed expression in the same order and float32
+    precision, so it is bit-identical to it; the backward sends the
+    same per-operand products the composed graph would.
     """
-    spikes = (x.data >= 0.0).astype(np.float32)
-    requires = is_grad_enabled() and x.requires_grad
-    out = Tensor(spikes, requires_grad=requires, _prev=(x,) if requires else (), _op="spike")
+    alpha_t = alpha if isinstance(alpha, Tensor) else None
+    leak = alpha_t.data if alpha_t is not None else None if alpha is None else np.float32(alpha)
+    membrane = v.data + current.data if leak is None else v.data * leak + current.data
+    reset = np.float32(theta)
+    if o_prev is not None:
+        membrane -= o_prev.data * reset
+
+    parents = tuple(t for t in (v, current, o_prev, alpha_t) if t is not None)
+    requires = is_grad_enabled() and any(t.requires_grad for t in parents)
+    out = Tensor(membrane, requires_grad=requires, _prev=parents if requires else (), _op="integrate")
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * surrogate(x.data).astype(np.float32))
+        current._accumulate(grad)
+        v._accumulate(grad if leak is None else grad * leak)
+        if o_prev is not None:
+            o_prev._accumulate(-grad * reset)
+        if alpha_t is not None:
+            alpha_t._accumulate(_unbroadcast(grad * v.data, alpha_t.shape))
+
+    out._backward = backward
+    return out
+
+
+def fire(v: Tensor, threshold, surrogate: SurrogateFunction) -> Tensor:
+    """Spikes of Eq. 1b, ``u(v - threshold)``, with a surrogate-gradient backward.
+
+    ``threshold`` is a float or an array broadcastable to ``v`` (ALIF's
+    adaptive threshold, which gets no gradient).  The backward replaces
+    the Heaviside derivative with ``surrogate(v - threshold)``.
+    """
+    shifted = v.data - np.asarray(threshold, dtype=np.float32)
+    spikes = (shifted >= 0.0).astype(np.float32)
+    requires = is_grad_enabled() and v.requires_grad
+    out = Tensor(spikes, requires_grad=requires, _prev=(v,) if requires else (), _op="fire")
+
+    def backward(grad: np.ndarray) -> None:
+        v._accumulate(grad * surrogate(shifted).astype(np.float32))
 
     out._backward = backward
     return out
@@ -113,6 +148,19 @@ class BaseNeuron(Module):
         self.spike_count = 0.0
         self.neuron_steps = 0
 
+    def _step(self, current: Tensor, leak, threshold=None) -> Tensor:
+        """Eq. 1 for one timestep: :func:`integrate` (after the first
+        step), :func:`fire` against ``threshold`` (default
+        ``v_threshold``), then record the spikes."""
+        if self.v is None:
+            self.v = current
+        else:
+            self.v = integrate(self.v, current, self.o_prev, leak, self.v_threshold)
+        spikes = fire(self.v, self.v_threshold if threshold is None else threshold, self.surrogate)
+        self.o_prev = spikes
+        self._record(spikes)
+        return spikes
+
     def _record(self, spikes: Tensor) -> None:
         if self.track_spikes:
             self.spike_count += float(spikes.data.sum())
@@ -153,17 +201,7 @@ class LIFNeuron(BaseNeuron):
         self.alpha = float(alpha)
 
     def forward(self, current: Tensor) -> Tensor:
-        if self.v is None:
-            self.v = current
-        else:
-            membrane = self.v * self.alpha + current
-            if self.o_prev is not None:
-                membrane = membrane - self.o_prev * self.v_threshold
-            self.v = membrane
-        spikes = spike_function(self.v - self.v_threshold, self.surrogate)
-        self.o_prev = spikes
-        self._record(spikes)
-        return spikes
+        return self._step(current, self.alpha)
 
     def __repr__(self) -> str:
         return f"LIFNeuron(alpha={self.alpha}, threshold={self.v_threshold})"
@@ -173,17 +211,7 @@ class IFNeuron(BaseNeuron):
     """Integrate-and-Fire neuron: LIF without leak (``alpha = 1``)."""
 
     def forward(self, current: Tensor) -> Tensor:
-        if self.v is None:
-            self.v = current
-        else:
-            membrane = self.v + current
-            if self.o_prev is not None:
-                membrane = membrane - self.o_prev * self.v_threshold
-            self.v = membrane
-        spikes = spike_function(self.v - self.v_threshold, self.surrogate)
-        self.o_prev = spikes
-        self._record(spikes)
-        return spikes
+        return self._step(current, None)
 
     def __repr__(self) -> str:
         return f"IFNeuron(threshold={self.v_threshold})"
@@ -211,18 +239,7 @@ class ParametricLIFNeuron(BaseNeuron):
         self.decay_logit = Parameter(np.array([logit], dtype=np.float32))
 
     def forward(self, current: Tensor) -> Tensor:
-        alpha = self.decay_logit.sigmoid()
-        if self.v is None:
-            self.v = current
-        else:
-            membrane = self.v * alpha + current
-            if self.o_prev is not None:
-                membrane = membrane - self.o_prev * self.v_threshold
-            self.v = membrane
-        spikes = spike_function(self.v - self.v_threshold, self.surrogate)
-        self.o_prev = spikes
-        self._record(spikes)
-        return spikes
+        return self._step(current, self.decay_logit.sigmoid())
 
     def __repr__(self) -> str:
         alpha = float(1.0 / (1.0 + np.exp(-self.decay_logit.data[0])))

@@ -1,9 +1,16 @@
-"""Convolution and pooling primitives built on im2col.
+"""Convolution and pooling primitives built on one patch lowering.
 
-These are the compute kernels of the spiking model zoo.  The forward
-pass lowers the convolution to a single matrix multiply (im2col); the
-backward pass uses the transposed lowering (col2im).  Both directions
-are exact, which the test suite verifies against finite differences.
+These are the compute kernels of the spiking model zoo.  Every
+convolution lowers its input once with :func:`im2col_t`, straight into
+the ``(C*kh*kw, N*out_h*out_w)`` layout a single 2-D product consumes:
+a dense GEMM against the filter matrix, or the CSR kernel of a sparse
+layer.  The weight gradient is one more GEMM against the same lowering
+on both routes.  The dense input gradient is the full correlation of
+the output gradient with the flipped filters (one more lowering and
+GEMM, no scatter-add) wherever the geometry allows it; otherwise, and
+on the CSR route, the column gradient is scattered back with
+:func:`col2im_t`.  Both directions are exact, which the test suite
+verifies against a direct-loop reference and finite differences.
 """
 
 from __future__ import annotations
@@ -26,46 +33,15 @@ def conv_output_shape(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]) -> np.ndarray:
-    """Lower image patches to columns.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(N, C, H, W)``.
-
-    Returns
-    -------
-    Array of shape ``(N, C * kh * kw, out_h * out_w)``.
-    """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = conv_output_shape(h, kh, sh, ph)
-    out_w = conv_output_shape(w, kw, sw, pw)
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-    # Strided view: (N, C, kh, kw, out_h, out_w)
-    s0, s1, s2, s3 = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(s0, s1, s2, s3, s2 * sh, s3 * sw),
-        writeable=False,
-    )
-    return view.reshape(n, c * kh * kw, out_h * out_w).copy()
-
-
 def im2col_t(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]) -> np.ndarray:
-    """Patch lowering directly in the ``(K, N*L)`` layout.
+    """Lower image patches to columns in the ``(K, N*L)`` layout.
 
-    The CSR conv kernel consumes its right operand as a
-    ``(C*kh*kw, N*out_h*out_w)`` matrix.  :func:`im2col` produces
-    ``(N, K, L)`` and the caller would pay a second transpose copy to
-    reach that layout; here the strided view is ordered ``(c, kh, kw,
-    n, oh, ow)`` so the single reshape copy lands in kernel layout.
+    ``x`` has shape ``(N, C, H, W)`` (any strides); the result has shape
+    ``(C*kh*kw, N*out_h*out_w)`` with rows ordered ``(c, kh, kw)``, the
+    order of ``weight.reshape(F, -1)``.  A padded input is copied into
+    a zeroed channel-major buffer; the strided patch view is ordered
+    ``(c, kh, kw, n, oh, ow)``, so its single reshape copy lands in
+    kernel layout.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -74,7 +50,9 @@ def im2col_t(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], pa
     out_h = conv_output_shape(h, kh, sh, ph)
     out_w = conv_output_shape(w, kw, sw, pw)
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        padded = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        padded[:, :, ph:ph + h, pw:pw + w] = x.transpose(1, 0, 2, 3)
+        x = padded.transpose(1, 0, 2, 3)
 
     # Strided view: (C, kh, kw, N, out_h, out_w)
     s0, s1, s2, s3 = x.strides
@@ -96,10 +74,9 @@ def col2im_t(
 ) -> np.ndarray:
     """Inverse of :func:`im2col_t`: scatter-add ``(K, N*L)`` columns back.
 
-    Used by the CSR conv backward: the transposed sparse product emits
-    the input gradient already in ``(K, N*L)`` layout, so scattering
-    from it directly skips the transpose copy the ``(N, K, L)`` route
-    would need.
+    Accumulates into a channel-major ``(C, N, H, W)`` buffer, which the
+    column layout slices without a transpose, and returns a contiguous
+    ``(N, C, H, W)`` array after one transpose at the end.
     """
     n, c, h, w = input_shape
     kh, kw = kernel
@@ -108,46 +85,22 @@ def col2im_t(
     out_h = conv_output_shape(h, kh, sh, ph)
     out_w = conv_output_shape(w, kw, sw, pw)
 
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols_t.dtype)
+    padded = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype=cols_t.dtype)
     cols6 = cols_t.reshape(c, kh, kw, n, out_h, out_w)
     for i in range(kh):
         i_end = i + sh * out_h
         for j in range(kw):
             j_end = j + sw * out_w
-            padded[:, :, i:i_end:sh, j:j_end:sw] += cols6[:, i, j].transpose(1, 0, 2, 3)
-    if ph or pw:
-        return padded[:, :, ph:h + ph, pw:w + pw]
-    return padded
+            padded[:, :, i:i_end:sh, j:j_end:sw] += cols6[:, i, j]
+    return np.ascontiguousarray(padded[:, :, ph:ph + h, pw:pw + w].transpose(1, 0, 2, 3))
 
 
-def col2im(
-    cols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back into an image."""
-    n, c, h, w = input_shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = conv_output_shape(h, kh, sh, ph)
-    out_w = conv_output_shape(w, kw, sw, pw)
-
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            padded[:, :, i:i_end:sh, j:j_end:sw] += cols6[:, :, i, j, :, :]
-    if ph or pw:
-        return padded[:, :, ph:h + ph, pw:w + pw]
-    return padded
+def _channel_major(flat: np.ndarray, n: int, out_h: int, out_w: int) -> np.ndarray:
+    """``(F, N*L)`` product rows to a contiguous ``(N, F, out_h, out_w)``."""
+    return np.ascontiguousarray(flat.reshape(-1, n, out_h, out_w).transpose(1, 0, 2, 3))
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride=1, padding=0) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride=1, padding=0, sparse=None) -> Tensor:
     """2-D convolution over an ``(N, C, H, W)`` input.
 
     Parameters
@@ -156,6 +109,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride=1, padding=0) 
         Filter bank of shape ``(F, C, kh, kw)``.
     bias:
         Optional per-filter bias of shape ``(F,)``.
+    sparse:
+        Optional ``(pattern, values)`` pair: a
+        :class:`~repro.sparse.storage.CSRPattern` over the flattened
+        filters and its active values.  The forward product and the
+        input gradient then run through the CSR kernels; the lowering,
+        bias and dense weight gradient are shared with the dense route.
     """
     stride = _pair(stride)
     padding = _pair(padding)
@@ -166,82 +125,107 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride=1, padding=0) 
     out_h = conv_output_shape(h, kh, stride[0], padding[0])
     out_w = conv_output_shape(w, kw, stride[1], padding[1])
 
-    cols = im2col(x.data, (kh, kw), stride, padding)  # (N, C*kh*kw, L)
-    w_mat = weight.data.reshape(f, -1)  # (F, C*kh*kw)
-    out_data = np.einsum("fk,nkl->nfl", w_mat, cols, optimize=True)
-    out_data = out_data.reshape(n, f, out_h, out_w)
+    cols_t = im2col_t(x.data, (kh, kw), stride, padding)  # (K, N*L)
+    if sparse is None:
+        out_flat = weight.data.reshape(f, -1) @ cols_t
+    else:
+        pattern, values = sparse
+        out_flat = pattern.matmul(values, cols_t)
+    out_data = _channel_major(out_flat, n, out_h, out_w)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, f, 1, 1)
+        out_data += bias.data.reshape(1, f, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     requires = is_grad_enabled() and any(p.requires_grad for p in parents)
     out = Tensor(out_data, requires_grad=requires, _prev=parents if requires else (), _op="conv2d")
 
+    def input_grad(grad: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
+        if sparse is not None:
+            grad_cols = sparse[0].t_matmul(sparse[1], grad_flat)
+        elif stride == (1, 1) and padding[0] < kh and padding[1] < kw:
+            # Full correlation with the flipped filters: the stride-1
+            # transposed convolution is itself a stride-1 convolution.
+            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            grad_cols = im2col_t(grad, (kh, kw), (1, 1), (kh - 1 - padding[0], kw - 1 - padding[1]))
+            return _channel_major(flipped @ grad_cols, n, h, w)
+        else:
+            grad_cols = weight.data.reshape(f, -1).T @ grad_flat
+        return col2im_t(grad_cols, (n, c, h, w), (kh, kw), stride, padding)
+
     def backward(grad: np.ndarray) -> None:
-        grad_mat = grad.reshape(n, f, out_h * out_w)  # (N, F, L)
+        grad_flat = grad.reshape(n, f, out_h * out_w).transpose(1, 0, 2).reshape(f, -1)
         if weight.requires_grad:
-            grad_w = np.einsum("nfl,nkl->fk", grad_mat, cols, optimize=True)
-            weight._accumulate(grad_w.reshape(weight.shape))
+            # Dense on both routes: regrowth scores need the gradient at
+            # inactive positions too.
+            weight._accumulate((cols_t @ grad_flat.T).T.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            grad_cols = np.einsum("fk,nfl->nkl", w_mat, grad_mat, optimize=True)
-            x._accumulate(col2im(grad_cols, (n, c, h, w), (kh, kw), stride, padding))
+            x._accumulate(input_grad(grad, grad_flat))
 
     out._backward = backward
     return out
 
 
-def avg_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
-    """Average pooling over the spatial dimensions."""
+def _pool_geometry(x: Tensor, kernel_size, stride):
     kernel = _pair(kernel_size)
     stride_p = _pair(stride) if stride is not None else kernel
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride_p
-    out_h = conv_output_shape(h, kh, sh, 0)
-    out_w = conv_output_shape(w, kw, sw, 0)
+    out_h = conv_output_shape(x.shape[2], kernel[0], stride_p[0], 0)
+    out_w = conv_output_shape(x.shape[3], kernel[1], stride_p[1], 0)
+    return kernel, stride_p, x.shape, out_h, out_w
 
-    cols = im2col(x.data, kernel, stride_p, (0, 0)).reshape(n, c, kh * kw, out_h * out_w)
-    out_data = cols.mean(axis=2).reshape(n, c, out_h, out_w)
+
+def avg_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
+    """Average pooling over the spatial dimensions.
+
+    Non-overlapping windows (stride equal to the kernel, the default)
+    reduce a ``(N, C, oh, kh, ow, kw)`` reshape and broadcast the
+    gradient back; other geometries pool the :func:`im2col_t` lowering.
+    """
+    kernel, stride_p, shape, out_h, out_w = _pool_geometry(x, kernel_size, stride)
+    n, c = shape[:2]
+    kh, kw = kernel
+    tiled = stride_p == kernel
+    if tiled:
+        crop = x.data[:, :, :out_h * kh, :out_w * kw]
+        out_data = crop.reshape(n, c, out_h, kh, out_w, kw).mean(axis=(3, 5))
+    else:
+        cols_t = im2col_t(x.data, kernel, stride_p, (0, 0))
+        pooled = cols_t.reshape(c, kh * kw, -1).mean(axis=1)
+        out_data = _channel_major(pooled, n, out_h, out_w)
     requires = is_grad_enabled() and x.requires_grad
     out = Tensor(out_data, requires_grad=requires, _prev=(x,) if requires else (), _op="avg_pool2d")
 
     def backward(grad: np.ndarray) -> None:
-        grad_cols = np.repeat(
-            grad.reshape(n, c, 1, out_h * out_w) / (kh * kw), kh * kw, axis=2
-        ).reshape(n, c * kh * kw, out_h * out_w)
-        x._accumulate(col2im(grad_cols, (n, c, h, w), kernel, stride_p, (0, 0)))
+        share = grad / (kh * kw)
+        if tiled:
+            full = np.zeros(shape, dtype=grad.dtype)
+            full[:, :, :out_h * kh, :out_w * kw] = share.repeat(kh, axis=2).repeat(kw, axis=3)
+            x._accumulate(full)
+            return
+        share_t = share.transpose(1, 0, 2, 3).reshape(c, 1, -1)
+        grad_cols = np.broadcast_to(share_t, (c, kh * kw, share_t.shape[2])).reshape(c * kh * kw, -1)
+        x._accumulate(col2im_t(grad_cols, shape, kernel, stride_p, (0, 0)))
 
     out._backward = backward
     return out
 
 
 def max_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
-    """Max pooling over the spatial dimensions."""
-    kernel = _pair(kernel_size)
-    stride_p = _pair(stride) if stride is not None else kernel
-    n, c, h, w = x.shape
+    """Max pooling over the spatial dimensions (through :func:`im2col_t`)."""
+    kernel, stride_p, shape, out_h, out_w = _pool_geometry(x, kernel_size, stride)
+    n, c = shape[:2]
     kh, kw = kernel
-    sh, sw = stride_p
-    out_h = conv_output_shape(h, kh, sh, 0)
-    out_w = conv_output_shape(w, kw, sw, 0)
-
-    cols = im2col(x.data, kernel, stride_p, (0, 0)).reshape(n, c, kh * kw, out_h * out_w)
-    argmax = cols.argmax(axis=2)
-    out_data = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2)
-    out_data = out_data.reshape(n, c, out_h, out_w)
+    cols = im2col_t(x.data, kernel, stride_p, (0, 0)).reshape(c, kh * kw, -1)
+    argmax = cols.argmax(axis=1)[:, None, :]
+    out_data = _channel_major(np.take_along_axis(cols, argmax, axis=1), n, out_h, out_w)
     requires = is_grad_enabled() and x.requires_grad
     out = Tensor(out_data, requires_grad=requires, _prev=(x,) if requires else (), _op="max_pool2d")
 
     def backward(grad: np.ndarray) -> None:
-        grad_cols = np.zeros((n, c, kh * kw, out_h * out_w), dtype=grad.dtype)
-        np.put_along_axis(
-            grad_cols, argmax[:, :, None, :], grad.reshape(n, c, 1, out_h * out_w), axis=2
-        )
-        x._accumulate(
-            col2im(grad_cols.reshape(n, c * kh * kw, out_h * out_w), (n, c, h, w), kernel, stride_p, (0, 0))
-        )
+        grad_cols = np.zeros(cols.shape, dtype=grad.dtype)
+        np.put_along_axis(grad_cols, argmax, grad.transpose(1, 0, 2, 3).reshape(c, 1, -1), axis=1)
+        x._accumulate(col2im_t(grad_cols.reshape(c * kh * kw, -1), shape, kernel, stride_p, (0, 0)))
 
     out._backward = backward
     return out

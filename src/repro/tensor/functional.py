@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import col2im_t, conv_output_shape, im2col_t
+from .conv import conv2d
 from .tensor import Tensor, concatenate, is_grad_enabled, time_blocks
 
 #: Dispatch counters (reset freely in tests/benches): how many forward
@@ -114,18 +114,15 @@ def masked_conv2d(
 ) -> Tensor:
     """2-D convolution with density-based dense/CSR dispatch.
 
-    The CSR route is a direct sparse-filter kernel: the input is
-    lowered once, straight into the ``(C*kh*kw, N*L)`` layout the
-    sparse product consumes (:func:`~repro.tensor.conv.im2col_t`), so
-    the hot loop pays a single copy where the historical im2col +
-    transpose route paid two.  The backward reuses the same lowering
-    for the weight gradient and scatters the input gradient from the
-    transposed layout without any intermediate copy.
+    Both routes are :func:`~repro.tensor.conv.conv2d`: one
+    :func:`~repro.tensor.conv.im2col_t` lowering, a dense weight
+    gradient and shared Tensor plumbing.  Only the product and the
+    input gradient differ: a GEMM and a flipped-filter correlation on
+    the dense route, the CSR kernels and a column scatter on the sparse
+    one.
     """
     if not _use_csr(state):
         DISPATCH_COUNTS["dense"] += 1
-        from .conv import conv2d
-
         blocks = time_blocks(x)
         if blocks is not None:  # per timestep, as in masked_linear
             return concatenate([
@@ -133,45 +130,9 @@ def masked_conv2d(
             ])
         return conv2d(x, weight, bias, stride=stride, padding=padding)
     DISPATCH_COUNTS["csr"] += 1
-
-    stride_p = (int(stride), int(stride)) if isinstance(stride, int) else tuple(stride)
-    padding_p = (int(padding), int(padding)) if isinstance(padding, int) else tuple(padding)
-    n, c, h, w = x.shape
-    f, c_w, kh, kw = weight.shape
-    if c != c_w:
-        raise ValueError(f"input channels {c} do not match weight channels {c_w}")
-    out_h = conv_output_shape(h, kh, stride_p[0], padding_p[0])
-    out_w = conv_output_shape(w, kw, stride_p[1], padding_p[1])
-    length = out_h * out_w
-
-    cols_t = im2col_t(x.data, (kh, kw), stride_p, padding_p)  # (K, N*L)
     pattern = state.csr_pattern()
-    data = _csr_values(state, pattern, weight.data)
-    out_mat = pattern.matmul(data, cols_t)  # (F, N*L)
-    out_data = out_mat.reshape(f, n, length).transpose(1, 0, 2).reshape(n, f, out_h, out_w)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, f, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=requires,
-                 _prev=parents if requires else (), _op="masked_conv2d")
-
-    def backward(grad: np.ndarray) -> None:
-        grad_flat = grad.reshape(n, f, length).transpose(1, 0, 2).reshape(f, n * length)
-        if weight.requires_grad:
-            # Dense weight gradient (regrowth scores need inactive
-            # positions too); one BLAS product against the lowering.
-            grad_w = grad_flat @ cols_t.T
-            weight._accumulate(grad_w.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            grad_cols_t = pattern.t_matmul(data, grad_flat)  # (K, N*L)
-            x._accumulate(col2im_t(grad_cols_t, (n, c, h, w), (kh, kw), stride_p, padding_p))
-
-    out._backward = backward
-    return out
+    sparse = (pattern, _csr_values(state, pattern, weight.data))
+    return conv2d(x, weight, bias, stride=stride, padding=padding, sparse=sparse)
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:

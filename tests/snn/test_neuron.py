@@ -10,8 +10,8 @@ from repro.snn import (
     LIFNeuron,
     ParametricLIFNeuron,
     build_neuron,
+    fire,
     reset_net,
-    spike_function,
 )
 from repro.tensor import Tensor
 
@@ -109,12 +109,12 @@ class TestSpikeStats:
 class TestSurrogateGradient:
     def test_spike_function_forward_is_heaviside(self):
         x = Tensor(np.array([-0.1, 0.0, 0.1], dtype=np.float32))
-        out = spike_function(x, FastInverse())
+        out = fire(x, 0.0, FastInverse())
         assert out.data.tolist() == [0.0, 1.0, 1.0]
 
     def test_backward_uses_surrogate(self):
         x = Tensor(np.array([0.5], dtype=np.float32), requires_grad=True)
-        out = spike_function(x, FastInverse())
+        out = fire(x, 0.0, FastInverse())
         out.backward(np.array([1.0], dtype=np.float32))
         expected = 1.0 / (1.0 + np.pi ** 2 * 0.25)
         assert np.isclose(x.grad[0], expected, atol=1e-5)

@@ -8,10 +8,10 @@ from repro.tensor import (
     Tensor,
     avg_pool2d,
     check_gradients,
-    col2im,
+    col2im_t,
     conv2d,
     conv_output_shape,
-    im2col,
+    im2col_t,
     max_pool2d,
 )
 
@@ -70,23 +70,23 @@ class TestIm2Col:
     def test_roundtrip_identity_for_unit_stride_kernel1(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
-        cols = im2col(x, (1, 1), (1, 1), (0, 0))
-        back = col2im(cols, x.shape, (1, 1), (1, 1), (0, 0))
+        cols = im2col_t(x, (1, 1), (1, 1), (0, 0))
+        back = col2im_t(cols, x.shape, (1, 1), (1, 1), (0, 0))
         assert np.allclose(back, x)
 
     def test_col2im_counts_overlaps(self):
         # With a 2x2 kernel at stride 1, interior pixels appear in 4 patches.
         x = np.ones((1, 1, 3, 3), dtype=np.float32)
-        cols = im2col(x, (2, 2), (1, 1), (0, 0))
-        back = col2im(cols, x.shape, (2, 2), (1, 1), (0, 0))
+        cols = im2col_t(x, (2, 2), (1, 1), (0, 0))
+        back = col2im_t(cols, x.shape, (2, 2), (1, 1), (0, 0))
         assert back[0, 0, 1, 1] == 4.0
         assert back[0, 0, 0, 0] == 1.0
         assert back[0, 0, 0, 1] == 2.0
 
     def test_im2col_shape(self):
         x = np.zeros((2, 3, 8, 8), dtype=np.float32)
-        cols = im2col(x, (3, 3), (2, 2), (1, 1))
-        assert cols.shape == (2, 27, 16)
+        cols = im2col_t(x, (3, 3), (2, 2), (1, 1))
+        assert cols.shape == (27, 2 * 16)
 
 
 class TestConvGradients:
@@ -127,3 +127,20 @@ class TestPooling:
         x = Tensor(np.arange(25, dtype=np.float32).reshape(1, 1, 5, 5))
         out = avg_pool2d(x, 3, stride=2)
         assert out.shape == (1, 1, 2, 2)
+
+    def test_avg_pool_crops_ragged_edge(self):
+        # Tiled windows drop the last row/column of an odd-sized map,
+        # which then gets no gradient.
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((2, 2, 5, 5)).astype(np.float32), requires_grad=True)
+        out = avg_pool2d(x, 2)
+        expected = x.data[:, :, :4, :4].reshape(2, 2, 2, 2, 2, 2).mean(axis=(3, 5))
+        assert np.allclose(out.data, expected)
+        check_gradients(lambda: (avg_pool2d(x, 2) ** 2).sum(), [x])
+        assert np.all(x.grad[:, :, 4, :] == 0) and np.all(x.grad[:, :, :, 4] == 0)
+
+    @pytest.mark.parametrize("pool", [avg_pool2d, max_pool2d])
+    def test_overlapping_pool_gradient(self, pool):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((2, 2, 5, 6)).astype(np.float32), requires_grad=True)
+        check_gradients(lambda: (pool(x, 3, stride=2) ** 2).sum(), [x])
