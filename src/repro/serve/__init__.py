@@ -1,7 +1,7 @@
 """Inference serving: registry, micro-batching, supervised workers.
 
 The training side of the repository produces checkpoints; this package
-turns them into a service.  Three pieces compose:
+turns them into a service.  The pieces compose:
 
 * :class:`~repro.serve.registry.ModelRegistry` — named model factories;
   each worker gets its *own* :class:`~repro.serve.registry.InferenceSession`
@@ -13,9 +13,14 @@ turns them into a service.  Three pieces compose:
 * :class:`~repro.serve.batcher.MicroBatcher` — request queue that hands
   up to ``max_batch`` requests to the first idle worker (an explicit
   max-latency deadline is opt-in).
-* :class:`~repro.serve.server.InferenceServer` — proactor-style worker
-  pool: a supervisor restarts crashed workers and their in-flight
-  requests are re-dispatched, not dropped.
+* :class:`~repro.serve.pool.SupervisedPool` — the one supervised worker
+  pool: ``start()`` builds one server-owned session per worker slot (a
+  factory error is raised there), a supervisor restarts crashed
+  workers, and their in-flight requests are re-dispatched, not dropped.
+* :class:`~repro.serve.server.InferenceServer` (micro-batches over one
+  shared queue) and :class:`~repro.serve.stream_worker.StreamServer`
+  (events over per-stream strict-FIFO shards) — the two servers on
+  that pool.
 """
 
 from .batcher import InferenceRequest, MicroBatcher

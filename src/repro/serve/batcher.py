@@ -86,13 +86,14 @@ class MicroBatcher:
         with self._condition:
             while True:
                 if self._pending:
-                    if len(self._pending) >= self.max_batch or self._closed:
-                        return self._take()
                     oldest_age = time.monotonic() - self._pending[0].enqueued_at
                     remaining = self.max_latency_s - oldest_age
-                    if remaining <= 0:
-                        return self._take()
-                    self._condition.wait(remaining)
+                    if len(self._pending) < self.max_batch and not self._closed and remaining > 0:
+                        self._condition.wait(remaining)
+                        continue
+                    batch = self._take()
+                    if batch:  # empty when every queued request was cancelled
+                        return batch
                 elif self._closed:
                     return None
                 else:
@@ -102,14 +103,16 @@ class MicroBatcher:
         batch = []
         while self._pending and len(batch) < self.max_batch:
             request = self._pending.popleft()
-            request.attempts += 1
-            batch.append(request)
+            if _claim(request):
+                request.attempts += 1
+                batch.append(request)
         return batch
 
     def drain_pending(self) -> List[InferenceRequest]:
-        """Remove and return every queued request (server shutdown)."""
+        """Remove and return every queued, uncancelled request (server
+        shutdown); the caller must resolve each one."""
         with self._condition:
-            remaining = list(self._pending)
+            remaining = [request for request in self._pending if _claim(request)]
             self._pending.clear()
             self._condition.notify_all()
         return remaining
@@ -119,3 +122,13 @@ class MicroBatcher:
         with self._condition:
             self._closed = True
             self._condition.notify_all()
+
+
+def _claim(request: InferenceRequest) -> bool:
+    """Mark a request's future running as it first leaves the queue.
+
+    False means the client cancelled it while queued: it is dropped,
+    neither run nor failed.  A claimed future can no longer be
+    cancelled, so resolving it never raises.
+    """
+    return request.attempts > 0 or request.future.set_running_or_notify_cancel()

@@ -22,10 +22,10 @@ DEFAULT_MAX_BATCH = 8
 
 
 class InferenceSession:
-    """One inference-frozen model instance owned by one worker thread.
+    """One inference-frozen model instance owned by one worker slot.
 
     Spiking forwards are stateful (neuron membranes reset per call), so
-    sessions must never be shared between threads — the registry hands
+    sessions must never be shared between workers — the registry hands
     each worker its own.  On construction the model goes to eval mode
     and the manager freezes: masks applied, CSR values gathered into
     read-only buffers, dense gradient tracking off, and every mutation
@@ -118,7 +118,7 @@ class ModelRegistry:
         return name in self._factories
 
     def session(self, name: str, max_batch: Optional[int] = None) -> InferenceSession:
-        """Build a fresh session for one worker thread."""
+        """Build a fresh session for one worker slot."""
         if name not in self._factories:
             raise KeyError(
                 f"no model {name!r} registered (have: {self.names()})"

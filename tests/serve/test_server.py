@@ -106,6 +106,23 @@ class TestMicroBatcher:
         args = _build_parser().parse_args(["serve", "--checkpoint", "ckpt"])
         assert args.max_latency_ms == 0.0
 
+    def test_workers_look_up_next_batch_on_the_batcher_every_call(self):
+        # Queue-wait tracing replaces ``server.batcher.next_batch`` on a
+        # running server; the replacement must take effect.
+        with InferenceServer(lambda: make_session(), workers=1) as server:
+            original = server.batcher.next_batch
+            taken = []
+
+            def traced():
+                batch = original()
+                taken.extend(batch or [])
+                return batch
+
+            server.batcher.next_batch = traced
+            for sample in make_samples(2):
+                server.predict(sample, timeout=30.0)
+        assert len(taken) >= 1
+
     def test_close_drains_then_returns_none(self):
         batcher = MicroBatcher(max_batch=8, max_latency_s=60.0)
         batcher.submit("queued")
@@ -285,17 +302,44 @@ class TestCrashRecovery:
         assert stats["failed"] >= 1
 
     def test_restart_budget_exhaustion_fails_queued_requests(self):
-        def doomed_factory():
-            raise RuntimeError("factory can never build a session")
-
+        # Every batch crashes and the request outlasts the restart
+        # budget (max_attempts > max_restarts), so the supervisor gives up.
         server = InferenceServer(
-            doomed_factory, workers=1, max_restarts=2,
-            supervise_interval_s=0.002,
+            _FlakySessionFactory(crashes=100), workers=1, max_attempts=5,
+            max_restarts=2, supervise_interval_s=0.002,
         )
         server.start()
         future = server.submit(make_samples(1)[0])
         with pytest.raises(RuntimeError, match="gave up after 2"):
             future.result(timeout=30.0)
+        server.stop(drain=False)
+
+    def test_abort_fails_work_that_crashes_after_it(self):
+        # One worker dies with the restart budget at 0 while the other is
+        # mid-batch; when that batch crashes too, the abort must fail it
+        # rather than leave it in the closed queue with no worker left.
+        entered, release = threading.Event(), threading.Event()
+
+        class Session:
+            def predict(self, inputs):
+                if inputs[0, 0] == 1:
+                    raise RuntimeError("poison")
+                entered.set()
+                release.wait(5.0)
+                raise RuntimeError("late crash")
+
+        server = InferenceServer(
+            Session, workers=2, max_batch=1, max_attempts=5, max_restarts=0,
+            supervise_interval_s=0.002,
+        ).start()
+        slow = server.submit(np.zeros(2, dtype=np.float32))
+        assert entered.wait(5.0)
+        poison = server.submit(np.ones(2, dtype=np.float32))
+        with pytest.raises(RuntimeError, match="gave up after 0"):
+            poison.result(timeout=5.0)
+        release.set()
+        with pytest.raises(RuntimeError, match="gave up after 0"):
+            slow.result(timeout=5.0)
         server.stop(drain=False)
 
     def test_stop_without_drain_fails_leftovers(self):
